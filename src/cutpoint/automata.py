@@ -1,15 +1,24 @@
 """The four machine models and their accepting-value semantics.
 
-All models read a word left to right.  A generalized automaton keeps a column
-vector ``v`` and applies ``v -> A_sigma v`` per symbol; the accepting value is
-``f v`` for a final row vector ``f``.  A probabilistic automaton is the
-stochastic special case.  A measure-once quantum automaton keeps a unit
-vector, applies a unitary per symbol and measures the accept states at the
-end.  A general quantum automaton keeps a density matrix and applies one
-superoperator (a list of operation elements) per symbol.
+All four models are one kind of object: a linear representation read
+through a cutpoint.  A machine holds an initial object, one linear step per
+symbol and a readout that turns the object reached at the end of the word
+into its accepting value.  :class:`Automaton` is that core; it holds the
+alphabet and shape checks, the scalar kind, the end-markers, word checking,
+evaluation and the validation loop.  Each model supplies only its own pieces:
 
-Optional end-markers transform the initial object before the word is read
-(left marker) and the final object after it (right marker).
+=====  ==================  ===================================  =====================
+model  object              step per symbol (validated as)       readout
+=====  ==================  ===================================  =====================
+Gfa    column vector v     v -> A v (any real matrix)           f v, f a final row
+Pfa    column vector v     v -> A v (left stochastic)           f v
+Mcqfa  unit vector v       v -> U v (unitary)                   sum of |v_q|^2
+Qfa    density matrix rho  rho -> sum_E E rho E^dagger (Kraus)  sum of rho_qq
+=====  ==================  ===================================  =====================
+
+The quantum readouts sum over the accept states q.  Optional end-markers are
+steps of the same kind: the left marker is applied to the initial object
+before the word is read, the right marker to the object reached after it.
 
 Automata are immutable after construction and evaluation is pure, so a single
 machine can be evaluated concurrently over many words.
@@ -19,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exactmath import (
     KIND_COMPLEX_FLOAT,
     KIND_COMPLEX_RATIONAL,
-    KIND_RATIONAL,
     VALIDATION_TOL,
     Matrix,
     is_exact_kind,
@@ -37,6 +45,117 @@ from .exactmath import (
 
 class UnknownSymbolError(ValueError):
     """A word contains a symbol outside the automaton's alphabet."""
+
+
+class Automaton:
+    """The linear-representation core shared by every model.
+
+    A model is a frozen dataclass with the fields ``state_count``,
+    ``alphabet``, ``transitions``, ``initial``, its final part,
+    ``left_marker`` and ``right_marker``, and supplies:
+
+    - ``_readout(state)``: the accepting value of the object reached
+    - ``_check_final()``: construction checks of the final part
+    - ``_step(op, state)`` when a step is not ``op @ state``
+    - ``_step_kind``: the :func:`validate_matrix` kind every transition and
+      marker must pass, or None when any matrix will do
+    - ``_density``: the object is an n x n matrix, not an n x 1 column
+    - ``_validate_ends(tol)``: violations of the initial object and final part
+    """
+
+    _step_kind = None
+    _density = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet", _check_alphabet(self.alphabet, self.transitions))
+        n = self.state_count
+        shape = (n, n) if self._density else (n, 1)
+        if self.initial.shape != shape:
+            raise ValueError(f"initial state must be {n} x {shape[1]}, got {self.initial.shape}")
+        kind = self.initial.kind
+        for _, op in self._steps():
+            for m in op if isinstance(op, tuple) else (op,):
+                if m.shape != (n, n):
+                    raise ValueError(f"transition matrices must be {n} x {n}, got {m.shape}")
+                kind = join_kinds(kind, m.kind)
+        object.__setattr__(self, "_kind", kind)
+        self._check_final()
+
+    def _steps(self) -> list:
+        """(label, op) for every transition and end-marker."""
+        out = [(f"transition {s!r}", op) for s, op in self.transitions.items()]
+        if self.left_marker is not None:
+            out.append(("left marker", self.left_marker))
+        if self.right_marker is not None:
+            out.append(("right marker", self.right_marker))
+        return out
+
+    @property
+    def kind(self) -> str:
+        return self._kind
+
+    @property
+    def is_exact(self) -> bool:
+        return is_exact_kind(self.kind)
+
+    @staticmethod
+    def _step(op, state):
+        return op @ state
+
+    def initial_state(self):
+        """The initial object with the left marker applied."""
+        if self.left_marker is None:
+            return self.initial
+        return self._step(self.left_marker, self.initial)
+
+    def accepting_value(self, state):
+        """Accepting value of an object reached after a word: the right
+        marker is applied, then the model's readout."""
+        if self.right_marker is not None:
+            state = self._step(self.right_marker, state)
+        return self._readout(state)
+
+    def _check_word(self, word) -> list:
+        word = list(word)
+        for s in word:
+            if s not in self.transitions:
+                raise UnknownSymbolError(f"symbol {s!r} not in alphabet {self.alphabet}")
+        return word
+
+    def value(self, word):
+        state = self.initial_state()
+        for s in self._check_word(word):
+            state = self._step(self.transitions[s], state)
+        return self.accepting_value(state)
+
+    def trace(self, word) -> list[Matrix]:
+        states = [self.initial_state()]
+        for s in self._check_word(word):
+            states.append(self._step(self.transitions[s], states[-1]))
+        return states
+
+    def unary_values(self, limit: int):
+        """Yield the accepting value on a^m for m = 0..limit."""
+        if not is_unary(self):
+            raise ValueError(f"automaton is not unary: alphabet {self.alphabet}")
+        op = self.transitions[self.alphabet[0]]
+        state = self.initial_state()
+        for m in range(limit + 1):
+            yield self.accepting_value(state)
+            if m < limit:
+                state = self._step(op, state)
+
+    def validate(self, tol=None) -> list[str]:
+        if tol is None:
+            tol = 0 if self.is_exact else VALIDATION_TOL
+        issues = []
+        if self._step_kind is not None:
+            for label, op in self._steps():
+                issues.extend(f"{label}: {v}" for v in validate_matrix(self._step_kind, op, tol))
+        return issues + self._validate_ends(tol)
+
+    def _validate_ends(self, tol) -> list[str]:
+        return []
 
 
 def _check_alphabet(alphabet, transitions):
@@ -52,16 +171,15 @@ def _check_alphabet(alphabet, transitions):
     return alphabet
 
 
-def _check_word(aut, word) -> list:
-    word = list(word)
-    for s in word:
-        if s not in aut.transitions:
-            raise UnknownSymbolError(f"symbol {s!r} not in alphabet {aut.alphabet}")
-    return word
+def _check_accept_states(aut) -> None:
+    """Final-part check of the models that measure a set of accept states."""
+    object.__setattr__(aut, "accept_states", frozenset(aut.accept_states))
+    if any(not 1 <= q <= aut.state_count for q in aut.accept_states):
+        raise ValueError("accept states must be 1-based state indices")
 
 
 @dataclass(frozen=True)
-class Gfa:
+class Gfa(Automaton):
     """Generalized finite automaton: arbitrary real transition matrices."""
 
     state_count: int
@@ -72,78 +190,17 @@ class Gfa:
     left_marker: Optional[Matrix] = None
     right_marker: Optional[Matrix] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", _check_alphabet(self.alphabet, self.transitions))
+    def _readout(self, v: Matrix):
+        return (self.final @ v)[0, 0]
+
+    def _check_final(self):
         n = self.state_count
-        if self.initial.shape != (n, 1):
-            raise ValueError(f"initial vector must be {n} x 1, got {self.initial.shape}")
         if self.final.shape != (1, n):
             raise ValueError(f"final vector must be 1 x {n}, got {self.final.shape}")
-        kind = join_kinds(self.initial.kind, self.final.kind)
-        for m in self._all_matrices():
-            if m.shape != (n, n):
-                raise ValueError(f"transition matrices must be {n} x {n}, got {m.shape}")
-            kind = join_kinds(kind, m.kind)
+        kind = join_kinds(self.kind, self.final.kind)
         if kind in (KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT):
             raise ValueError("generalized automata use real scalars")
         object.__setattr__(self, "_kind", kind)
-
-    def _all_matrices(self):
-        out = list(self.transitions.values())
-        if self.left_marker is not None:
-            out.append(self.left_marker)
-        if self.right_marker is not None:
-            out.append(self.right_marker)
-        return out
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def is_exact(self) -> bool:
-        return is_exact_kind(self.kind)
-
-    def _initial_state(self) -> Matrix:
-        v = self.initial
-        if self.left_marker is not None:
-            v = self.left_marker @ v
-        return v
-
-    def _final_row(self) -> Matrix:
-        f = self.final
-        if self.right_marker is not None:
-            f = f @ self.right_marker
-        return f
-
-    def value(self, word):
-        word = _check_word(self, word)
-        v = self._initial_state()
-        for s in word:
-            v = self.transitions[s] @ v
-        return (self._final_row() @ v)[0, 0]
-
-    def trace(self, word) -> list[Matrix]:
-        word = _check_word(self, word)
-        states = [self._initial_state()]
-        for s in word:
-            states.append(self.transitions[s] @ states[-1])
-        return states
-
-    def unary_values(self, limit: int):
-        """Yield the accepting value on a^m for m = 0..limit."""
-        sym = _unary_symbol(self)
-        f = self._final_row()
-        v = self._initial_state()
-        a = self.transitions[sym]
-        for m in range(limit + 1):
-            yield (f @ v)[0, 0]
-            if m < limit:
-                v = a @ v
-        return
-
-    def validate(self, tol=None) -> list[str]:
-        return []
 
     def as_gfa(self) -> "Gfa":
         """Forget any stochasticity constraints; evaluation is unchanged."""
@@ -163,19 +220,10 @@ class Pfa(Gfa):
     vector, final vector with entries in [0, 1] (0/1 when there is no right
     marker)."""
 
-    def validate(self, tol=None) -> list[str]:
-        tol = _default_tol(self, tol)
+    _step_kind = "stochastic"
+
+    def _validate_ends(self, tol) -> list[str]:
         issues = []
-        for s, m in self.transitions.items():
-            issues.extend(f"transition {s!r}: {v}" for v in validate_matrix("stochastic", m, tol))
-        if self.left_marker is not None:
-            issues.extend(
-                f"left marker: {v}" for v in validate_matrix("stochastic", self.left_marker, tol)
-            )
-        if self.right_marker is not None:
-            issues.extend(
-                f"right marker: {v}" for v in validate_matrix("stochastic", self.right_marker, tol)
-            )
         col = [self.initial[i, 0] for i in range(self.state_count)]
         if any(x < -tol for x in col):
             issues.append("initial vector has a negative entry")
@@ -191,7 +239,7 @@ class Pfa(Gfa):
 
 
 @dataclass(frozen=True)
-class Mcqfa:
+class Mcqfa(Automaton):
     """Measure-once quantum automaton: one unitary per symbol, a single
     projective measurement on the accept states at the end of the input.
 
@@ -208,102 +256,26 @@ class Mcqfa:
     left_marker: Optional[Matrix] = None
     right_marker: Optional[Matrix] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", _check_alphabet(self.alphabet, self.transitions))
-        object.__setattr__(self, "accept_states", frozenset(self.accept_states))
-        n = self.state_count
-        if self.initial.shape != (n, 1):
-            raise ValueError(f"initial state must be {n} x 1, got {self.initial.shape}")
-        kind = self.initial.kind
-        for m in self._all_matrices():
-            if m.shape != (n, n):
-                raise ValueError(f"unitaries must be {n} x {n}, got {m.shape}")
-            kind = join_kinds(kind, m.kind)
-        if any(not 1 <= q <= n for q in self.accept_states):
-            raise ValueError("accept states must be 1-based state indices")
-        object.__setattr__(self, "_kind", kind)
+    _step_kind = "unitary"
+    _check_final = _check_accept_states
 
-    def _all_matrices(self):
-        out = list(self.transitions.values())
-        if self.left_marker is not None:
-            out.append(self.left_marker)
-        if self.right_marker is not None:
-            out.append(self.right_marker)
-        return out
+    def _readout(self, v: Matrix):
+        zero = Fraction(0) if self.is_exact else 0.0
+        return sum((scalar_abs_squared(v[q - 1, 0]) for q in sorted(self.accept_states)), zero)
 
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def is_exact(self) -> bool:
-        return is_exact_kind(self.kind)
-
-    def _initial_state(self) -> Matrix:
-        v = self.initial
-        if self.left_marker is not None:
-            v = self.left_marker @ v
-        return v
-
-    def _measure(self, v: Matrix):
-        if self.right_marker is not None:
-            v = self.right_marker @ v
-        total = None
-        for q in sorted(self.accept_states):
-            p = scalar_abs_squared(v[q - 1, 0])
-            total = p if total is None else total + p
-        if total is None:
-            return Fraction(0) if self.is_exact else 0.0
-        return total
-
-    def value(self, word):
-        word = _check_word(self, word)
-        v = self._initial_state()
-        for s in word:
-            v = self.transitions[s] @ v
-        return self._measure(v)
-
-    def trace(self, word) -> list[Matrix]:
-        word = _check_word(self, word)
-        states = [self._initial_state()]
-        for s in word:
-            states.append(self.transitions[s] @ states[-1])
-        return states
-
-    def unary_values(self, limit: int):
-        sym = _unary_symbol(self)
-        v = self._initial_state()
-        u = self.transitions[sym]
-        for m in range(limit + 1):
-            yield self._measure(v)
-            if m < limit:
-                v = u @ v
-        return
-
-    def validate(self, tol=None) -> list[str]:
-        tol = _default_tol(self, tol)
-        issues = []
-        for s, m in self.transitions.items():
-            issues.extend(f"transition {s!r}: {v}" for v in validate_matrix("unitary", m, tol))
-        if self.left_marker is not None:
-            issues.extend(
-                f"left marker: {v}" for v in validate_matrix("unitary", self.left_marker, tol)
-            )
-        if self.right_marker is not None:
-            issues.extend(
-                f"right marker: {v}" for v in validate_matrix("unitary", self.right_marker, tol)
-            )
+    def _validate_ends(self, tol) -> list[str]:
         norm = sum(scalar_abs_squared(self.initial[i, 0]) for i in range(self.state_count))
         if abs(norm - 1) > tol:
-            issues.append(f"initial state has squared norm {norm}, not 1")
-        return issues
+            return [f"initial state has squared norm {norm}, not 1"]
+        return []
 
 
 @dataclass(frozen=True)
-class Qfa:
+class Qfa(Automaton):
     """General quantum automaton: one superoperator (list of operation
     elements) per symbol acting on a density matrix; the accepting value is
-    the probability mass on the accept states at the end.
+    the probability mass on the accept states at the end.  ``initial`` may be
+    given as a 1-based basis index.
     """
 
     state_count: int
@@ -314,114 +286,35 @@ class Qfa:
     left_marker: Optional[tuple] = None
     right_marker: Optional[tuple] = None
 
+    _step_kind = "kraus-set"
+    _density = True
+    _check_final = _check_accept_states
+
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", _check_alphabet(self.alphabet, self.transitions))
         object.__setattr__(
             self, "transitions", {s: tuple(es) for s, es in self.transitions.items()}
         )
-        object.__setattr__(self, "accept_states", frozenset(self.accept_states))
-        if self.left_marker is not None:
-            object.__setattr__(self, "left_marker", tuple(self.left_marker))
-        if self.right_marker is not None:
-            object.__setattr__(self, "right_marker", tuple(self.right_marker))
-        n = self.state_count
+        for name in ("left_marker", "right_marker"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if isinstance(self.initial, int):
-            object.__setattr__(self, "initial", basis_density(n, self.initial))
-        if self.initial.shape != (n, n):
-            raise ValueError(f"initial density matrix must be {n} x {n}")
-        kind = self.initial.kind
-        for es in self._all_superoperators():
-            for e in es:
-                if e.shape != (n, n):
-                    raise ValueError(f"operation elements must be {n} x {n}, got {e.shape}")
-                kind = join_kinds(kind, e.kind)
-        if any(not 1 <= q <= n for q in self.accept_states):
-            raise ValueError("accept states must be 1-based state indices")
-        object.__setattr__(self, "_kind", kind)
-
-    def _all_superoperators(self):
-        out = list(self.transitions.values())
-        if self.left_marker is not None:
-            out.append(self.left_marker)
-        if self.right_marker is not None:
-            out.append(self.right_marker)
-        return out
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def is_exact(self) -> bool:
-        return is_exact_kind(self.kind)
+            object.__setattr__(self, "initial", basis_density(self.state_count, self.initial))
+        super().__post_init__()
 
     @staticmethod
-    def apply(elements, rho: Matrix) -> Matrix:
+    def _step(elements, rho: Matrix) -> Matrix:
         total = None
         for e in elements:
             term = e @ rho @ e.conj_transpose()
             total = term if total is None else total + term
         return total
 
-    def _initial_state(self) -> Matrix:
-        rho = self.initial
-        if self.left_marker is not None:
-            rho = self.apply(self.left_marker, rho)
-        return rho
+    def _readout(self, rho: Matrix):
+        zero = Fraction(0) if self.is_exact else 0.0
+        return sum((scalar_real(rho[q - 1, q - 1]) for q in sorted(self.accept_states)), zero)
 
-    def _measure(self, rho: Matrix):
-        if self.right_marker is not None:
-            rho = self.apply(self.right_marker, rho)
-        total = None
-        for q in sorted(self.accept_states):
-            p = scalar_real(rho[q - 1, q - 1])
-            total = p if total is None else total + p
-        if total is None:
-            return Fraction(0) if self.is_exact else 0.0
-        return total
-
-    def value(self, word):
-        word = _check_word(self, word)
-        rho = self._initial_state()
-        for s in word:
-            rho = self.apply(self.transitions[s], rho)
-        return self._measure(rho)
-
-    def trace(self, word) -> list[Matrix]:
-        word = _check_word(self, word)
-        states = [self._initial_state()]
-        for s in word:
-            states.append(self.apply(self.transitions[s], states[-1]))
-        return states
-
-    def unary_values(self, limit: int):
-        sym = _unary_symbol(self)
-        rho = self._initial_state()
-        es = self.transitions[sym]
-        for m in range(limit + 1):
-            yield self._measure(rho)
-            if m < limit:
-                rho = self.apply(es, rho)
-        return
-
-    def validate(self, tol=None) -> list[str]:
-        tol = _default_tol(self, tol)
-        issues = []
-        for s, es in self.transitions.items():
-            issues.extend(f"symbol {s!r}: {v}" for v in validate_matrix("kraus-set", es, tol))
-        if self.left_marker is not None:
-            issues.extend(
-                f"left marker: {v}" for v in validate_matrix("kraus-set", self.left_marker, tol)
-            )
-        if self.right_marker is not None:
-            issues.extend(
-                f"right marker: {v}" for v in validate_matrix("kraus-set", self.right_marker, tol)
-            )
-        issues.extend(f"initial state: {v}" for v in validate_matrix("density", self.initial, tol))
-        return issues
-
-
-Automaton = Union[Gfa, Pfa, Mcqfa, Qfa]
+    def _validate_ends(self, tol) -> list[str]:
+        return [f"initial state: {v}" for v in validate_matrix("density", self.initial, tol)]
 
 
 def basis_state(n: int, index: int) -> Matrix:
@@ -435,28 +328,6 @@ def basis_density(n: int, index: int) -> Matrix:
     """Density matrix |q_index><q_index| (1-based) as an exact rational matrix."""
     v = basis_state(n, index)
     return v @ v.transpose()
-
-
-def accept_projector(n: int, accept_states, kind: str = KIND_RATIONAL) -> Matrix:
-    """Diagonal 0/1 projector selecting the given 1-based accept states."""
-    m = Matrix.zeros(n, n, kind)
-    rows = [list(r) for r in m.data]
-    one = Matrix.identity(1, kind)[0, 0]
-    for q in accept_states:
-        rows[q - 1][q - 1] = one
-    return Matrix(rows)
-
-
-def _default_tol(aut, tol):
-    if tol is None:
-        return 0 if aut.is_exact else VALIDATION_TOL
-    return tol
-
-
-def _unary_symbol(aut):
-    if len(aut.alphabet) != 1:
-        raise ValueError(f"automaton is not unary: alphabet {aut.alphabet}")
-    return aut.alphabet[0]
 
 
 def is_unary(aut: Automaton) -> bool:
@@ -483,5 +354,5 @@ def validate(aut: Automaton, tol=None) -> list[str]:
 
 def unary_values(aut: Automaton, limit: int):
     """Iterate the accepting value on a^m for m = 0..limit (incremental, one
-    matrix application per step)."""
+    step per m)."""
     return aut.unary_values(limit)

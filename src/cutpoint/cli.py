@@ -386,9 +386,6 @@ def run(argv) -> CommandOutcome:
     return outcome
 
 
-run_command = run
-
-
 def main() -> None:
     outcome = run(sys.argv[1:])
     if outcome.report:

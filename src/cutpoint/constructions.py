@@ -159,16 +159,12 @@ class ThreeStateParams:
 
     The accepting value on a^m is mean + amplitude * x^(m/2) *
     cos(m * angle + phase).  ``cutpoint`` holds the limit value 1/(3x+1) as
-    an exact rational (``mean`` is its binary64 mirror); cos_coeff and
-    sin_coeff are the raw oscillation coefficients that amplitude and phase
-    collect into a single cosine.
+    an exact rational (``mean`` is its binary64 mirror).
     """
 
     x: Fraction
     cutpoint: Fraction
     mean: float
-    cos_coeff: float
-    sin_coeff: float
     amplitude: float
     angle: float
     phase: float
@@ -179,9 +175,7 @@ def three_state_params(x) -> ThreeStateParams:
     if not 0 < x <= Fraction(1, 2):
         raise ValueError("parameter must lie in (0, 1/2]")
     lam = 1 / (3 * x + 1)
-    b = -1 / (6 * x + 2)
     var = x - x * x
-    c = float((x + 1) / (6 * x + 2)) / math.sqrt(float(var))
     amplitude = 1.0 / math.sqrt(float((3 * x + 1) * var))
     angle = math.acos(-math.sqrt(float(x)))
     phase = math.acos(-math.sqrt(float(var / (3 * x + 1))))
@@ -189,8 +183,6 @@ def three_state_params(x) -> ThreeStateParams:
         x=x,
         cutpoint=lam,
         mean=float(lam),
-        cos_coeff=float(b),
-        sin_coeff=c,
         amplitude=amplitude,
         angle=angle,
         phase=phase,
@@ -238,10 +230,9 @@ def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
     if issues:
         raise ValueError(f"invalid probabilistic machine: {issues[0]}")
     a = p.transitions[p.alphabet[0]]
-    v = p.initial if p.left_marker is None else p.left_marker @ p.initial
-    frow = p.final if p.right_marker is None else p.final @ p.right_marker
+    v = p.initial_state()
     x, y = a[1, 0], a[0, 1]
-    f0 = (frow @ v)[0, 0]
+    f0 = p.accepting_value(v)
     b0 = f0 > lam
 
     if x == 0 and y == 0:
@@ -249,7 +240,7 @@ def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
             "identity", x, y, None, None, None, None, langsem.ALL if b0 else langsem.EMPTY
         )
     if x == 1 and y == 1:
-        f1 = (frow @ (a @ v))[0, 0]
+        f1 = p.accepting_value(a @ v)
         name = {
             (True, True): langsem.ALL,
             (True, False): langsem.EVEN,
@@ -260,8 +251,9 @@ def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
 
     stationary = y / (x + y)
     offset = v[0, 0] - stationary
-    limit = frow[0, 0] * stationary + frow[0, 1] * (x / (x + y))
-    swing = offset * (frow[0, 0] - frow[0, 1])
+    # the state after a^m is the stationary vector plus decay^m (offset, -offset)
+    limit = p.accepting_value(Matrix.column([stationary, x / (x + y)]))
+    swing = p.accepting_value(Matrix.column([offset, -offset]))
     decay = 1 - (x + y)
 
     if swing == 0 or decay == 0:
@@ -613,8 +605,7 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
     def conj(matrix: Matrix) -> Matrix:
         return Matrix([[v.conjugate() if cmplx else v for v in row] for row in matrix.data])
 
-    v0 = mc.initial if mc.left_marker is None else mc.left_marker @ mc.initial
-    v0 = fl(v0)
+    v0 = fl(mc.initial_state())
     pair0 = kron(conj(v0), v0)
     half = 1 / math.sqrt(2.0)
     initial = Matrix.column([cast(half)] + [half * pair0[i, 0] for i in range(n * n)])

@@ -180,6 +180,23 @@ def _field(doc: dict, name: str, typ):
 
 
 def _parse_generalized(doc, n, alphabet, kind, model):
+    final = doc.get("final")
+    if not isinstance(final, list):
+        raise DocumentError("final must be a row vector for generalized models")
+    cls = Pfa if model == "pfa" else Gfa
+    return cls(
+        final=Matrix.row([_parse_scalar(x, kind) for x in final]),
+        **_parse_vector_parts(doc, n, alphabet, kind),
+    )
+
+
+def _parse_mcqfa(doc, n, alphabet, kind):
+    return Mcqfa(accept_states=_accept_list(doc, n), **_parse_vector_parts(doc, n, alphabet, kind))
+
+
+def _parse_vector_parts(doc, n, alphabet, kind) -> dict:
+    """Constructor fields shared by the models that run a column vector:
+    everything but the final part."""
     transitions = {
         s: _parse_matrix(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
     }
@@ -192,17 +209,11 @@ def _parse_generalized(doc, n, alphabet, kind, model):
         init = Matrix.column([_parse_scalar(x, kind) for x in initial])
     else:
         raise DocumentError("initial must be a basis index or a vector")
-    final = doc.get("final")
-    if not isinstance(final, list):
-        raise DocumentError("final must be a row vector for generalized models")
-    frow = Matrix.row([_parse_scalar(x, kind) for x in final])
-    cls = Pfa if model == "pfa" else Gfa
-    return cls(
+    return dict(
         state_count=n,
         alphabet=alphabet,
         transitions=transitions,
         initial=init,
-        final=frow,
         left_marker=_opt_matrix(doc, "left_marker", kind),
         right_marker=_opt_matrix(doc, "right_marker", kind),
     )
@@ -217,30 +228,6 @@ def _cast_matrix(m: Matrix, kind: str) -> Matrix:
     if kind == KIND_COMPLEX_RATIONAL:
         return Matrix([[GaussianRational(x, Fraction(0)) for x in r] for r in m.data])
     return Matrix([[complex(float(x)) for x in r] for r in m.data])
-
-
-def _parse_mcqfa(doc, n, alphabet, kind):
-    transitions = {
-        s: _parse_matrix(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
-    }
-    initial = doc.get("initial", 1)
-    if isinstance(initial, int) and not isinstance(initial, bool):
-        if not 1 <= initial <= n:
-            raise DocumentError(f"initial basis index {initial} out of range 1..{n}")
-        init = _cast_matrix(basis_state(n, initial), kind)
-    elif isinstance(initial, list):
-        init = Matrix.column([_parse_scalar(x, kind) for x in initial])
-    else:
-        raise DocumentError("initial must be a basis index or a vector")
-    return Mcqfa(
-        state_count=n,
-        alphabet=alphabet,
-        transitions=transitions,
-        initial=init,
-        accept_states=_accept_list(doc, n),
-        left_marker=_opt_matrix(doc, "left_marker", kind),
-        right_marker=_opt_matrix(doc, "right_marker", kind),
-    )
 
 
 def _parse_qfa(doc, n, alphabet, kind):
@@ -299,46 +286,32 @@ def _opt_matrix(doc, name, kind):
 def serialize_automaton(aut: Automaton) -> dict:
     """Document form of an automaton; parse_automaton inverts it exactly."""
     if isinstance(aut, Qfa):
-        doc = {
-            "model": "qfa",
-            "states": aut.state_count,
-            "alphabet": list(aut.alphabet),
-            "scalar": aut.kind,
-            "transitions": {
-                s: [_format_matrix(e) for e in es] for s, es in aut.transitions.items()
-            },
-            "initial": _format_matrix(aut.initial),
-            "final": sorted(aut.accept_states),
-        }
-        if aut.left_marker is not None:
-            doc["left_marker"] = [_format_matrix(e) for e in aut.left_marker]
-        if aut.right_marker is not None:
-            doc["right_marker"] = [_format_matrix(e) for e in aut.right_marker]
-        return doc
-    if isinstance(aut, Mcqfa):
-        doc = {
-            "model": "mcqfa",
-            "states": aut.state_count,
-            "alphabet": list(aut.alphabet),
-            "scalar": aut.kind,
-            "transitions": {s: _format_matrix(m) for s, m in aut.transitions.items()},
-            "initial": [_format_scalar(aut.initial[i, 0]) for i in range(aut.state_count)],
-            "final": sorted(aut.accept_states),
-        }
+        initial = _format_matrix(aut.initial)
+
+        def fmt(elements):
+            return [_format_matrix(e) for e in elements]
+
     else:
-        doc = {
-            "model": "pfa" if isinstance(aut, Pfa) else "gfa",
-            "states": aut.state_count,
-            "alphabet": list(aut.alphabet),
-            "scalar": aut.kind,
-            "transitions": {s: _format_matrix(m) for s, m in aut.transitions.items()},
-            "initial": [_format_scalar(aut.initial[i, 0]) for i in range(aut.state_count)],
-            "final": [_format_scalar(aut.final[0, j]) for j in range(aut.state_count)],
-        }
-    if aut.left_marker is not None:
-        doc["left_marker"] = _format_matrix(aut.left_marker)
-    if aut.right_marker is not None:
-        doc["right_marker"] = _format_matrix(aut.right_marker)
+        initial = [_format_scalar(x) for x in aut.initial.col_values(0)]
+        fmt = _format_matrix
+    if isinstance(aut, Gfa):
+        model = "pfa" if isinstance(aut, Pfa) else "gfa"
+        final = [_format_scalar(x) for x in aut.final.flat()]
+    else:
+        model = "qfa" if isinstance(aut, Qfa) else "mcqfa"
+        final = sorted(aut.accept_states)
+    doc = {
+        "model": model,
+        "states": aut.state_count,
+        "alphabet": list(aut.alphabet),
+        "scalar": aut.kind,
+        "transitions": {s: fmt(op) for s, op in aut.transitions.items()},
+        "initial": initial,
+        "final": final,
+    }
+    for name in ("left_marker", "right_marker"):
+        if getattr(aut, name) is not None:
+            doc[name] = fmt(getattr(aut, name))
     return doc
 
 

@@ -254,9 +254,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row_values(self, i: int) -> tuple:
-        return self.data[i]
-
     def col_values(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 

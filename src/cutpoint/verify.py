@@ -466,15 +466,7 @@ SUITES = ("all", "rotation", "px", "onestate", "mcqfa")
 def run_checks(suite: str = "all") -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    results = []
-    for name, group, budget, func in CRITERIA:
-        if suite not in ("all", group):
-            continue
-        start = time.perf_counter()
-        ok, detail = func()
-        elapsed = time.perf_counter() - start
-        results.append(CheckResult(name, group, budget, ok, elapsed, detail))
-    return results
+    return [_run(*entry) for entry in CRITERIA if suite in ("all", entry[1])]
 
 
 def criterion_names(suite: str = "all") -> list[str]:
@@ -482,10 +474,13 @@ def criterion_names(suite: str = "all") -> list[str]:
 
 
 def run_criterion(name: str) -> CheckResult:
-    for crit, group, budget, func in CRITERIA:
-        if crit == name:
-            start = time.perf_counter()
-            ok, detail = func()
-            elapsed = time.perf_counter() - start
-            return CheckResult(crit, group, budget, ok, elapsed, detail)
+    for entry in CRITERIA:
+        if entry[0] == name:
+            return _run(*entry)
     raise ValueError(f"unknown criterion {name!r}")
+
+
+def _run(name: str, group: str, budget: float, func) -> CheckResult:
+    start = time.perf_counter()
+    ok, detail = func()
+    return CheckResult(name, group, budget, ok, time.perf_counter() - start, detail)

@@ -16,7 +16,12 @@ from cutpoint.automata import (
     validate,
     value,
 )
-from cutpoint.constructions import PythTriple, rotation_automaton, three_state_pfa
+from cutpoint.constructions import (
+    PythTriple,
+    rotation_automaton,
+    rotation_matrix,
+    three_state_pfa,
+)
 from cutpoint.exactmath import GaussianRational, Matrix, kron
 
 F = Fraction
@@ -126,6 +131,19 @@ class TestPfa:
         )
         assert validate(ok) == []
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_validate_names_the_bad_marker(self, side):
+        bad = Pfa(
+            2,
+            ("a",),
+            {"a": Matrix.identity(2)},
+            basis_state(2, 1),
+            Matrix.row([F(1), F(0)]),
+            **{f"{side}_marker": Matrix([[1, 1], [0, 1]])},
+        )
+        issues = validate(bad)
+        assert issues and all(v.startswith(f"{side} marker: ") for v in issues)
+
     def test_values_stay_probabilities(self):
         rng = random.Random(2024)
         for _ in range(20):
@@ -185,6 +203,35 @@ class TestMcqfa:
             frozenset({1}),
         )
         assert any("norm" in v for v in validate(bad))
+
+    def test_markers_wrap_the_run(self):
+        # left marker rotates e1 to (3/5, 4/5); right marker swaps the states
+        u = rotation_matrix(PythTriple(2, 1))
+        aut = Mcqfa(
+            2,
+            ("a",),
+            {"a": u},
+            basis_state(2, 1),
+            frozenset({1}),
+            left_marker=u,
+            right_marker=swap_matrix(),
+        )
+        # "": swap (3/5, 4/5) -> (4/5, 3/5); "a": swap (-7/25, 24/25)
+        assert [value(aut, "a" * k) for k in range(2)] == [F(16, 25), F(576, 625)]
+        assert list(unary_values(aut, 1)) == [F(16, 25), F(576, 625)]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_validate_names_the_bad_marker(self, side):
+        bad = Mcqfa(
+            2,
+            ("a",),
+            {"a": Matrix.identity(2)},
+            basis_state(2, 1),
+            frozenset({1}),
+            **{f"{side}_marker": Matrix([[1, 1], [0, 1]])},
+        )
+        issues = validate(bad)
+        assert issues and all(v.startswith(f"{side} marker: ") for v in issues)
 
     def test_empty_accept_set_gives_zero(self):
         aut = Mcqfa(2, ("a",), {"a": swap_matrix()}, basis_state(2, 1), frozenset())
@@ -267,6 +314,30 @@ class TestQfa:
             frozenset({1}),
         )
         assert any("orthonormal" in v for v in validate(bad))
+
+    def test_markers_wrap_the_run(self):
+        # left marker swaps |1><1| to |2><2|; right marker is the rotation
+        # with cosine 3/5, which leaves 16/25 of e2 and 9/25 of e1 on state 1
+        swap = (swap_matrix(),)
+        rot = (rotation_matrix(PythTriple(2, 1)),)
+        es = reset_qfa().transitions["a"]
+        aut = Qfa(2, ("a",), {"a": es}, 1, frozenset({1}), left_marker=swap, right_marker=rot)
+        assert validate(aut) == []
+        assert [value(aut, "a" * k) for k in range(3)] == [F(16, 25), F(9, 25), F(9, 25)]
+        assert list(unary_values(aut, 2)) == [F(16, 25), F(9, 25), F(9, 25)]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_validate_names_the_bad_marker(self, side):
+        bad = Qfa(
+            2,
+            ("a",),
+            {"a": (Matrix.identity(2),)},
+            1,
+            frozenset({1}),
+            **{f"{side}_marker": (Matrix([[1, 0], [0, 0]]),)},
+        )
+        issues = validate(bad)
+        assert issues and all(v.startswith(f"{side} marker: ") for v in issues)
 
     def test_density_states_stay_valid(self):
         from cutpoint.exactmath import validate_matrix

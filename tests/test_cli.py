@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutpoint.cli import emit_csv, run, run_command
+from cutpoint.cli import emit_csv, run
 from cutpoint.constructions import PythTriple, rotation_automaton, three_state_pfa
 from cutpoint.documents import parse_automaton, serialize_automaton
 
@@ -398,6 +398,3 @@ class TestErrorPaths:
         path = tmp_path / "broken.json"
         path.write_text("{oops")
         assert run(["eval", str(path), "--word", "a"]).exit_code == 2
-
-    def test_run_command_alias(self):
-        assert run_command is run
