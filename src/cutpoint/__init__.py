@@ -54,7 +54,6 @@ from .exactmath import (
     logs_rationally_equivalent,
     logs_same_sign,
     mat_pow,
-    prime_exponents,
     validate_matrix,
 )
 from .langsem import (

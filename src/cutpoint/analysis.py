@@ -5,7 +5,8 @@ facts: a separating word length between two cutpoint languages, pairwise
 distinct values up to a horizon, a value sequence visiting every subinterval
 of [-1, 1].  This module computes those witnesses in exact arithmetic, and
 decides the regular / context-free / neither trichotomy for solution
-languages from the prime factorizations of their coefficient bases.
+languages from the exponent vectors of their coefficient bases over a
+gcd-refined coprime base, with no bound on their size.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def chomsky_classify(d: SolutionDescriptor) -> ChomskyVerdict:
     After decimation the language is regular exactly when the remaining
     coefficients share a sign, and a nonregular one is context-free exactly
     when the coefficients are rationally equivalent; with exact rational
-    bases both conditions are decidable through prime factorizations.
+    bases both are decided exactly, the second from exponent vectors over a
+    gcd-refined coprime base, with no bound on the size of the numbers.
     Approximate coefficients are rejected: the question is not decidable for
     arbitrary reals.
     """

@@ -170,13 +170,25 @@ def _load(document) -> dict:
     return document
 
 
-def _field(doc: dict, name: str, typ):
+_REQUIRED = object()
+
+
+def _field(doc: dict, name: str, typ, default=_REQUIRED):
     if name not in doc:
-        raise DocumentError(f"missing field {name!r}")
+        if default is _REQUIRED:
+            raise DocumentError(f"missing field {name!r}")
+        return default
     value = doc[name]
-    if not isinstance(value, typ) or isinstance(value, bool):
+    if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
         raise DocumentError(f"field {name!r} must be of type {typ.__name__}")
     return value
+
+
+def _letters(doc: dict, name: str, default=_REQUIRED) -> tuple:
+    value = _field(doc, name, list, default)
+    if not all(isinstance(s, str) for s in value):
+        raise DocumentError(f"field {name!r} must be a list of letters (strings)")
+    return tuple(value)
 
 
 def _parse_generalized(doc, n, alphabet, kind, model):
@@ -353,32 +365,27 @@ def serialize_descriptor(d: LanguageDescriptor) -> dict:
 def parse_descriptor(document) -> LanguageDescriptor:
     doc = _load(document)
     form = _field(doc, "form", str)
-    sigma = tuple(_field(doc, "alphabet", list))
+    sigma = _letters(doc, "alphabet")
     if form == "indicator":
-        z = frozenset(_field(doc, "indicator", dict).get("z", []))
+        z = frozenset(_letters(_field(doc, "indicator", dict), "z", ()))
         try:
             return IndicatorOnly(IndicatorDescriptor(sigma, z))
         except ValueError as e:
             raise DocumentError(str(e)) from None
     sol_doc = _field(doc, "solution", dict)
     par_doc = _field(doc, "parity", dict)
-    exact = sol_doc.get("exact", True)
+    kind = KIND_RATIONAL if _field(sol_doc, "exact", bool, True) else KIND_FLOAT
     letters = _field(sol_doc, "letters", dict)
     threshold = sol_doc.get("threshold", "inf")
-    relation = sol_doc.get("relation", "<")
+    threshold = math.inf if threshold == "inf" else _parse_scalar(threshold, kind)
+    relation = _field(sol_doc, "relation", str, "<")
+    x = _letters(par_doc, "x", sorted(letters))
+    y = frozenset(_letters(par_doc, "y", ()))
+    bit = _field(par_doc, "i", int, 0)
+    coeffs = {a: _parse_scalar(c, kind) for a, c in letters.items()}
     try:
-        if threshold == "inf":
-            threshold = math.inf
-        elif exact:
-            threshold = parse_rational(threshold)
-        else:
-            threshold = float(threshold)
-        coeffs = {
-            a: parse_rational(c) if exact else float(c) for a, c in letters.items()
-        }
-        x = tuple(par_doc.get("x", sorted(letters)))
-        sol = SolutionDescriptor(x, coeffs, threshold, relation, exact)
-        par = ParityDescriptor(x, frozenset(par_doc.get("y", [])), par_doc.get("i", 0))
+        sol = SolutionDescriptor(x, coeffs, threshold, relation, kind == KIND_RATIONAL)
+        par = ParityDescriptor(x, y, bit)
         if form == "lambda":
             return LambdaForm(sigma, sol, par)
         if form == "inclusive":

@@ -31,10 +31,6 @@ class ScalarMixError(TypeError):
     """Raised when exact and approximate scalars meet without an explicit coercion."""
 
 
-class FactorBoundError(ValueError):
-    """Raised when trial division hits a prime factor above the configured bound."""
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
@@ -100,10 +96,6 @@ class GaussianRational:
 
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __repr__(self):
         return f"GaussianRational({self.re!s}, {self.im!s})"
@@ -448,15 +440,18 @@ def _validate_stochastic(m: Matrix, tol) -> list[str]:
 def _validate_unitary(m: Matrix, tol) -> list[str]:
     if not m.is_square:
         return [f"unitary matrix must be square, got {m.shape}"]
+    return _gram_violations(m, tol, "(M†M)[{i},{j}] = {x}, expected {target}")
+
+
+def _gram_violations(m: Matrix, tol, message: str) -> list[str]:
+    """Entries of M†M off the identity, each formatted by ``message``."""
     gram = m.conj_transpose() @ m
     issues = []
     for i in range(gram.rows):
         for j in range(gram.cols):
             target = 1 if i == j else 0
             if not _near(gram[i, j], target, tol):
-                issues.append(
-                    f"(M†M)[{i + 1},{j + 1}] = {gram[i, j]}, expected {target}"
-                )
+                issues.append(message.format(i=i + 1, j=j + 1, x=gram[i, j], target=target))
     return issues
 
 
@@ -491,38 +486,38 @@ def _validate_density(m: Matrix, tol) -> list[str]:
 
 
 def _psd_violations(m: Matrix, tol) -> list[str]:
-    # All principal minors of a Hermitian matrix are >= 0 iff it is positive
-    # semidefinite; leading minors alone would wrongly accept e.g. diag(0, -1).
+    # Symmetric elimination (LDLᴴ).  With S the rows whose pivots were
+    # positive so far, the pivot at k is the Schur complement entry
+    # det(A[S+k]) / det(A[S]), so `det` (the product of kept pivots) times a
+    # negative pivot is a negative principal minor.  A zero pivot (|d| <= tol)
+    # needs a zero column below it: an entry x at row i makes the minor on
+    # S+{k,i} equal to det * -|x|^2.  Offending rows are reported and left
+    # out of S; leading minors alone would wrongly accept e.g. diag(0, -1).
+    a = [list(r) for r in m.data]
     n = m.rows
-    issues = []
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        minor = _det([[m[i, j] for j in idx] for i in idx])
-        val = scalar_real(minor)
-        if val < -tol:
-            issues.append(
-                f"principal minor on rows {[i + 1 for i in idx]} is {val}, negative"
-            )
-    return issues
-
-
-def _det(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = None
-    for j in range(n):
-        if a[0][j] == 0:
+    kept, det, issues = [], 1, []
+    for k in range(n):
+        d = scalar_real(a[k][k])
+        if d > tol:
+            for i in range(k + 1, n):
+                f = a[i][k] * (1 / d)
+                if f != 0:
+                    for j in range(k + 1, n):
+                        a[i][j] = a[i][j] - f * a[k][j]
+            kept.append(k)
+            det *= d
             continue
-        sub = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a[0][j] * _det(sub)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        x = a[0][0]
-        return x - x
-    return total
+        rows = kept + [k]
+        if d < -tol:
+            val = det * d
+        else:
+            i = next((i for i in range(k + 1, n) if not _near(a[i][k], 0, tol)), None)
+            if i is None:
+                continue
+            rows.append(i)
+            val = det * -scalar_abs_squared(a[i][k])
+        issues.append(f"principal minor on rows {[r + 1 for r in rows]} is {val}, negative")
+    return issues
 
 
 def _validate_kraus(elements, tol) -> list[str]:
@@ -535,16 +530,7 @@ def _validate_kraus(elements, tol) -> list[str]:
     if tol == 0 and any(not e.is_exact for e in elements):
         raise ValueError("tol=0 requires exact scalars")
     stacked = Matrix([list(r) for e in elements for r in e.data])
-    gram = stacked.conj_transpose() @ stacked
-    issues = []
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            target = 1 if i == j else 0
-            if not _near(gram[i, j], target, tol):
-                issues.append(
-                    f"stacked columns not orthonormal: (E†E)[{i + 1},{j + 1}] = {gram[i, j]}"
-                )
-    return issues
+    return _gram_violations(stacked, tol, "stacked columns not orthonormal: (E†E)[{i},{j}] = {x}")
 
 
 def complete_to_unitary(first_row) -> Matrix:
@@ -592,59 +578,51 @@ def _cconj(x):
 
 # number theory
 
-DEFAULT_FACTOR_BOUND = 10**6
+def _exponent_vectors(bases) -> list[dict[int, int]]:
+    """Exponent vectors of positive rationals over one pairwise-coprime base.
 
-
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division.
-
-    Raises FactorBoundError if a prime factor above ``bound`` remains; we
-    refuse to guess rather than return a pseudo-factorization.
+    The numerators and denominators are refined by gcd splitting (Bach,
+    Driscoll & Shallit, J. Algorithms 15, 1993) into integers > 1 that are
+    pairwise coprime; each rational is a product of their powers, returned
+    as a base element -> nonzero exponent map (1 maps to {}).  Nothing is
+    factored, so there is no size bound.
     """
-    if n <= 0:
-        raise ValueError("factorize needs a positive integer")
-    out: dict[int, int] = {}
-    for p in _trial_divisors(bound):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if n > bound:
-            raise FactorBoundError(f"prime factor {n} exceeds trial-division bound {bound}")
-        out[n] = out.get(n, 0) + 1
-    return out
+    rationals = [Fraction(b) for b in bases]
+    if any(r <= 0 for r in rationals):
+        raise ValueError("bases must be positive")
+    coprime: list[int] = []
+    todo = [n for r in rationals for n in (r.numerator, r.denominator) if n > 1]
+    while todo:
+        # each split replaces x and b by g, b/g, x/g with g > 1, so the
+        # product of the pending and kept numbers falls and the loop ends
+        x = todo.pop()
+        for k, b in enumerate(coprime):
+            g = math.gcd(x, b)
+            if g > 1:
+                del coprime[k]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            coprime.append(x)
 
+    def exponents(n: int) -> dict[int, int]:
+        out = {}
+        for b in coprime:
+            e = 0
+            while n % b == 0:
+                n //= b
+                e += 1
+            if e:
+                out[b] = e
+        return out
 
-def _trial_divisors(bound):
-    yield 2
-    yield 3
-    p = 5
-    while p <= bound:
-        yield p
-        yield p + 2
-        p += 6
-
-
-def prime_exponents(r, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Factor a positive rational into a prime -> exponent map; 1 maps to {}."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("prime_exponents needs a positive rational")
-    out = dict(factorize(r.numerator, bound))
-    for p, e in factorize(r.denominator, bound).items():
-        out[p] = out.get(p, 0) - e
-        if out[p] == 0:
-            del out[p]
-    return out
-
-
-def rational_from_exponents(exps: dict[int, int]) -> Fraction:
-    r = Fraction(1)
-    for p, e in exps.items():
-        r *= Fraction(p) ** e
-    return r
+    vectors = []
+    for r in rationals:
+        # numerator and denominator are coprime, so they share no base element
+        v = exponents(r.numerator)
+        v.update((b, -e) for b, e in exponents(r.denominator).items())
+        vectors.append(v)
+    return vectors
 
 
 def logs_same_sign(bases) -> bool:
@@ -662,21 +640,16 @@ def logs_same_sign(bases) -> bool:
     return not (seen_pos and seen_neg)
 
 
-def logs_rationally_equivalent(bases, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def logs_rationally_equivalent(bases) -> bool:
     """True iff the logs of the positive rational bases are pairwise rational
     multiples of one common real.
 
-    Decided exactly: log p / log q is irrational for distinct primes, so the
-    logs are rationally dependent exactly when the prime-exponent vectors of
-    the bases (excluding 1, whose log is 0) are pairwise parallel.
+    Decided exactly and for any size of input: the logs of pairwise-coprime
+    integers > 1 are linearly independent over Q, so the logs are rationally
+    dependent exactly when the exponent vectors of the bases over a common
+    coprime base (excluding 1, whose log is 0) are pairwise parallel.
     """
-    vectors = []
-    for b in bases:
-        b = Fraction(b)
-        if b <= 0:
-            raise ValueError("bases must be positive")
-        if b != 1:
-            vectors.append(prime_exponents(b, bound))
+    vectors = [v for v in _exponent_vectors(bases) if v]
     if len(vectors) <= 1:
         return True
     ref = vectors[0]

@@ -245,6 +245,20 @@ class TestChomsky:
         assert out.exit_code == 2
         assert "cutpoint" in out.report
 
+    @pytest.mark.parametrize(
+        "numbers, verdict",
+        [
+            (["a=1000003", "b=1/2"], "NonContextFree"),
+            (["a=1000000000039", "b=1/2"], "NonContextFree"),
+            # a semiprime near 10^12 and its inverse square
+            ([f"a={999_983 * 999_979}", f"b=1/{(999_983 * 999_979) ** 2}"], "ContextFreeNonRegular"),
+        ],
+    )
+    def test_large_numbers_are_answered(self, numbers, verdict):
+        out = run(["chomsky", "--numbers", *numbers, "--cutpoint", "1", "--direction", "gt"])
+        assert out.exit_code == 0
+        assert out.report == verdict
+
 
 class TestSeparate:
     def test_rotation_witness(self, rotation_file):
@@ -367,6 +381,43 @@ class TestJsonReports:
         path.write_text(json.dumps(doc))
         out = run(["classify-2pfa", str(path), "--cutpoint", "1/2", "--json"])
         assert json.loads(out.report) == {"language": "CoEven"}
+
+
+def _lambda_descriptor():
+    return json.loads(
+        run(["decompose-1gfa", "--numbers", "a=2", "b=1/3", "--cutpoint", "1", "--direction", "gt"]).report
+    )
+
+
+class TestMalformedDescriptors:
+    """Descriptor fields of the wrong type are malformed input (exit 2) for
+    both commands that read descriptors, never an uncaught exception."""
+
+    def _run_both(self, tmp_path, doc):
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(doc))
+        return [run([command, str(path)]) for command in ("build-1gfa", "chomsky")]
+
+    def test_parity_subset_not_a_list(self, tmp_path):
+        doc = _lambda_descriptor()
+        doc["parity"] = {"y": 5}
+        for out in self._run_both(tmp_path, doc):
+            assert out.exit_code == 2
+            assert "'y'" in out.report
+
+    def test_indicator_subset_not_a_list(self, tmp_path):
+        doc = {"form": "indicator", "alphabet": ["a", "b"], "indicator": {"z": 5}}
+        for out in self._run_both(tmp_path, doc):
+            assert out.exit_code == 2
+            assert "'z'" in out.report
+
+    def test_inexact_coefficient_not_a_number(self, tmp_path):
+        doc = _lambda_descriptor()
+        doc["solution"]["exact"] = False
+        doc["solution"]["letters"]["a"] = [1]
+        for out in self._run_both(tmp_path, doc):
+            assert out.exit_code == 2
+            assert "[1]" in out.report
 
 
 class TestErrorPaths:

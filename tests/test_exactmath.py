@@ -1,22 +1,26 @@
+import math
 import random
+import re
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutpoint.exactmath import (
-    FactorBoundError,
     GaussianRational,
     Matrix,
     ScalarMixError,
+    _exponent_vectors,
     complete_to_unitary,
-    factorize,
     kron,
     logs_rationally_equivalent,
     logs_same_sign,
     mat_pow,
-    prime_exponents,
-    rational_from_exponents,
     scalar_kind,
+    scalar_real,
     validate_matrix,
 )
 
@@ -242,30 +246,160 @@ class TestCompleteToUnitary:
             complete_to_unitary([0.5, 0.5])
 
 
-class TestFactorization:
-    def test_prime_exponents_examples(self):
-        assert prime_exponents(12) == {2: 2, 3: 1}
-        assert prime_exponents(1) == {}
-        assert prime_exponents(F(8, 27)) == {2: 3, 3: -3}
+def _from_exponents(vector: dict) -> Fraction:
+    r = F(1)
+    for b, e in vector.items():
+        r *= F(b) ** e
+    return r
+
+
+#: primes on both sides of the old trial-division bound of 10^6, up to 2^61 - 1
+PRIMES = [2, 3, 5, 7, 999_983, 1_000_003, 1_000_000_000_039, 2**61 - 1]
+
+prime_vectors = st.dictionaries(st.sampled_from(PRIMES), st.integers(-3, 3), max_size=4)
+
+
+class TestExponentVectors:
+    def test_examples(self):
+        assert _exponent_vectors([12]) == [{12: 1}]
+        assert _exponent_vectors([1]) == [{}]
+        assert _exponent_vectors([F(8, 27)]) == [{8: 1, 27: -1}]
+        assert _exponent_vectors([12, 18]) == [{2: 2, 3: 1}, {2: 1, 3: 2}]
+        assert _exponent_vectors([F(4), F(1, 8)]) == [{2: 2}, {2: -3}]
 
     def test_round_trip_random_rationals(self):
         rng = random.Random(555)
-        for _ in range(100):
-            r = F(rng.randint(1, 5000), rng.randint(1, 5000))
-            assert rational_from_exponents(prime_exponents(r)) == r
+        rs = [F(rng.randint(1, 5000), rng.randint(1, 5000)) for _ in range(100)]
+        assert [_from_exponents(v) for v in _exponent_vectors(rs)] == rs
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            prime_exponents(F(-2))
+            _exponent_vectors([F(-2)])
         with pytest.raises(ValueError):
-            prime_exponents(0)
+            _exponent_vectors([0])
 
-    def test_bound_exceeded_is_an_error_not_a_guess(self):
-        with pytest.raises(FactorBoundError):
-            factorize(1_000_003 * 1_000_033, bound=10**6)
+    def test_primes_above_old_bound_are_answered(self):
+        p, q = 1_000_003, 1_000_033
+        assert _exponent_vectors([p * q, F(1, p)]) == [{p: 1, q: 1}, {p: -1}]
+        assert not logs_rationally_equivalent([F(p * q), F(1, p)])
+        assert logs_rationally_equivalent([F(p * q) ** 2, F(1, p * q)])
 
-    def test_large_prime_within_bound(self):
-        assert factorize(999_983) == {999_983: 1}
+    @given(st.lists(prime_vectors, min_size=1, max_size=5))
+    def test_base_is_pairwise_coprime_and_reconstructs(self, vectors):
+        bases = [_from_exponents(v) for v in vectors]
+        out = _exponent_vectors(bases)
+        base = set().union(*out)
+        assert all(b > 1 for b in base)
+        assert all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
+        assert [_from_exponents(v) for v in out] == bases
+
+    @given(
+        st.one_of(
+            st.lists(prime_vectors, min_size=1, max_size=4),
+            # powers of one common vector: rationally equivalent by construction
+            prime_vectors.flatmap(
+                lambda v: st.lists(
+                    st.integers(-3, 3).map(lambda k: {p: k * e for p, e in v.items()}),
+                    min_size=1,
+                    max_size=4,
+                )
+            ),
+        )
+    )
+    def test_rational_equivalence_matches_prime_vectors(self, vectors):
+        nonzero = [{p: e for p, e in v.items() if e} for v in vectors]
+        nonzero = [v for v in nonzero if v]
+        # parallel iff every 2x2 minor of the prime-exponent matrix vanishes
+        primes = set().union(*nonzero)
+        expected = all(
+            u.get(p, 0) * v.get(q, 0) == u.get(q, 0) * v.get(p, 0)
+            for u, v in combinations(nonzero, 2)
+            for p, q in combinations(primes, 2)
+        )
+        bases = [_from_exponents(v) for v in vectors]
+        assert logs_rationally_equivalent(bases) == expected
+
+
+def _det(a):
+    if len(a) == 1:
+        return a[0][0]
+    total = 0
+    for j, x in enumerate(a[0]):
+        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+        term = x * _det(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _negative_minors(m: Matrix) -> dict:
+    """Brute-force oracle: every principal minor of m that is negative."""
+    out = {}
+    for size in range(1, m.rows + 1):
+        for idx in combinations(range(m.rows), size):
+            val = scalar_real(_det([[m[i, j] for j in idx] for i in idx]))
+            if val < 0:
+                out[tuple(i + 1 for i in idx)] = val
+    return out
+
+
+MINOR = re.compile(r"principal minor on rows \[(.*)\] is (.*), negative")
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def hermitian(draw, gaussian):
+    n = draw(st.integers(1, 4))
+    entry = st.builds(G, small, small) if gaussian else small
+    if draw(st.booleans()):  # B^H B is positive semidefinite, singular when B is short
+        k = draw(st.integers(1, n))
+        b = Matrix([[draw(entry) for _ in range(n)] for _ in range(k)])
+        return b.conj_transpose() @ b
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = G(draw(small)) if gaussian else draw(small)
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = rows[i][j].conjugate() if gaussian else rows[i][j]
+    return Matrix(rows)
+
+
+class TestPsdElimination:
+    @settings(max_examples=200)
+    @given(st.booleans().flatmap(hermitian))
+    def test_matches_all_principal_minors(self, m):
+        oracle = _negative_minors(m)
+        reported = [MINOR.fullmatch(v) for v in validate_matrix("density", m)]
+        reported = [r for r in reported if r]
+        assert (not reported) == (not oracle)
+        for r in reported:
+            rows = tuple(int(i) for i in r.group(1).split(", "))
+            val = F(r.group(2))
+            assert val < 0
+            assert scalar_real(_det([[m[i - 1, j - 1] for j in rows] for i in rows])) == val
+
+    def test_zero_pivot_with_nonzero_column(self):
+        # the leading pivot is 0 but the entry below it is not: the 2x2
+        # minor 0 * 1 - |x|^2 is negative
+        m = Matrix([[0, G(1, 1)], [G(1, -1), 1]])
+        assert validate_matrix("density", m) == ["principal minor on rows [1, 2] is -2, negative"]
+
+    def test_float_tolerance(self):
+        eps = 1e-14
+        ok = Matrix([[0.5, 0.5], [0.5, 0.5 + eps]])
+        assert validate_matrix("density", ok, 1e-12) == []
+        bad = Matrix([[1.0, 0.0], [0.0, -1e-6]])
+        issues = validate_matrix("density", bad, 1e-12)
+        assert "principal minor on rows [1, 2] is -1e-06, negative" in issues
+
+    def test_dense_exact_n16_is_fast(self):
+        rng = random.Random(16)
+        b = Matrix([[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(16)] for _ in range(16)])
+        gram = b.conj_transpose() @ b
+        rho = gram.scale(1 / gram.trace())
+        t0 = time.perf_counter()
+        assert validate_matrix("density", rho) == []
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestLogPredicates:
