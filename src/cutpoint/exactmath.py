@@ -263,13 +263,10 @@ class Matrix:
 
     # arithmetic
 
-    def _check_kind(self, other: "Matrix") -> None:
-        join_kinds(self.kind, other.kind)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        self._check_kind(other)
+        join_kinds(self.kind, other.kind)
         bt = list(zip(*other.data))
         return Matrix(
             [[_dot(row, col) for col in bt] for row in self.data]
@@ -278,7 +275,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"dimension mismatch: {self.shape} + {other.shape}")
-        self._check_kind(other)
+        join_kinds(self.kind, other.kind)
         return Matrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
         )
@@ -286,7 +283,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"dimension mismatch: {self.shape} - {other.shape}")
-        self._check_kind(other)
+        join_kinds(self.kind, other.kind)
         return Matrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
         )
@@ -486,38 +483,67 @@ def _validate_density(m: Matrix, tol) -> list[str]:
 
 
 def _psd_violations(m: Matrix, tol) -> list[str]:
-    # Symmetric elimination (LDLᴴ).  With S the rows whose pivots were
-    # positive so far, the pivot at k is the Schur complement entry
-    # det(A[S+k]) / det(A[S]), so `det` (the product of kept pivots) times a
-    # negative pivot is a negative principal minor.  A zero pivot (|d| <= tol)
-    # needs a zero column below it: an entry x at row i makes the minor on
-    # S+{k,i} equal to det * -|x|^2.  Offending rows are reported and left
-    # out of S; leading minors alone would wrongly accept e.g. diag(0, -1).
-    a = [list(r) for r in m.data]
-    n = m.rows
-    kept, det, issues = [], 1, []
-    for k in range(n):
-        d = scalar_real(a[k][k])
-        if d > tol:
-            for i in range(k + 1, n):
-                f = a[i][k] * (1 / d)
-                if f != 0:
-                    for j in range(k + 1, n):
-                        a[i][j] = a[i][j] - f * a[k][j]
-            kept.append(k)
-            det *= d
-            continue
-        rows = kept + [k]
-        if d < -tol:
-            val = det * d
-        else:
-            i = next((i for i in range(k + 1, n) if not _near(a[i][k], 0, tol)), None)
-            if i is None:
-                continue
-            rows.append(i)
-            val = det * -scalar_abs_squared(a[i][k])
-        issues.append(f"principal minor on rows {[r + 1 for r in rows]} is {val}, negative")
+    # A principal minor of a block-diagonal matrix is a product of minors of
+    # its blocks, so each block of linked rows is checked alone.  Every value
+    # reported is a principal minor below -tol; exact input that is not PSD
+    # always yields one.  In binary64 such a minor can hide behind kept pivots
+    # of another scale, so a second pass takes the smallest pivot first.
+    n, issues, block = m.rows, [], list(range(m.rows))
+    for i in range(n):
+        for j in range(i):
+            if m[i, j] != 0 or m[j, i] != 0:
+                block = [block[j] if b == block[i] else b for b in block]
+    for b in dict.fromkeys(block):
+        rows = [i for i in range(n) if block[i] == b]
+        found = _elimination_minors(m, rows, tol, max)
+        if not found and tol:
+            found = _elimination_minors(m, rows, tol, min)
+        issues += [
+            f"principal minor on rows {sorted(r + 1 for r in sub)} is {val}, negative"
+            for sub, val in found
+        ]
     return issues
+
+
+def _elimination_minors(m: Matrix, rows, tol, pick) -> list:
+    # Symmetric elimination (LDLᴴ) with diagonal pivoting.  With S the rows
+    # eliminated so far and det = det(A[S]), the Schur complement entry d_j
+    # is det(A[S+j]) / det.  Each step sets aside the rows j with a minor
+    # det * d_j below -tol, then eliminates the pivot above tol chosen by
+    # `pick`.  An entry x of the zero block left makes the minor on S+{k,i},
+    # det * (d_k d_i - |x|^2), negative.  Returns (rows, minor) pairs.
+    a = [list(r) for r in m.data]
+    rest, kept, det, found = list(rows), [], 1, []
+    while rest:
+        left = []
+        for j in rest:
+            val = det * scalar_real(a[j][j])
+            if val < -tol:
+                found.append((kept + [j], val))
+            else:
+                left.append(j)
+        rest = left
+        pivots = [j for j in rest if scalar_real(a[j][j]) > tol]
+        if not pivots:
+            break
+        k = pick(pivots, key=lambda j: scalar_real(a[j][j]))
+        d = scalar_real(a[k][k])
+        rest.remove(k)
+        for i in rest:
+            f = a[i][k] * (Fraction(1) / d)
+            if f != 0:
+                for j in rest:
+                    a[i][j] = a[i][j] - f * a[k][j]
+        kept.append(k)
+        det *= d
+    for x, k in enumerate(rest):
+        d = scalar_real(a[k][k])
+        for i in rest[x + 1:]:
+            val = det * (d * scalar_real(a[i][i]) - scalar_abs_squared(a[i][k]))
+            if val < -tol:
+                found.append((kept + [k, i], val))
+                break
+    return found
 
 
 def _validate_kraus(elements, tol) -> list[str]:
@@ -561,7 +587,7 @@ def complete_to_unitary(first_row) -> Matrix:
         cand = [cast(1.0) if j == i else cast(0.0) for j in range(n)]
         for _ in range(2):  # re-orthogonalize once for numerical robustness
             for r in rows:
-                coeff = sum(c * _cconj(x) for c, x in zip(cand, r))
+                coeff = sum(c * scalar_conj(x) for c, x in zip(cand, r))
                 cand = [c - coeff * x for c, x in zip(cand, r)]
         norm = math.sqrt(sum(abs(x) ** 2 for x in cand))
         if norm < 1e-7:
@@ -570,10 +596,6 @@ def complete_to_unitary(first_row) -> Matrix:
     if len(rows) != n:
         raise ValueError("failed to complete an orthonormal basis")
     return Matrix(rows)
-
-
-def _cconj(x):
-    return x.conjugate() if isinstance(x, complex) else x
 
 
 # number theory

