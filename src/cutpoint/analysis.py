@@ -120,9 +120,11 @@ def separate(
     languages, or None if none exists up to the horizon."""
     if not is_unary(aut_a) or not is_unary(aut_b):
         raise ValueError("separation needs unary automata")
-    for m, (va, vb) in enumerate(
-        zip(unary_values(aut_a, limit), unary_values(aut_b, limit))
-    ):
+    if aut_b == aut_a:  # one machine under two cutpoints: evaluate it once
+        pairs = ((v, v) for v in unary_values(aut_a, limit))
+    else:
+        pairs = zip(unary_values(aut_a, limit), unary_values(aut_b, limit))
+    for m, (va, vb) in enumerate(pairs):
         ma, mb = cut_member(va, cp_a), cut_member(vb, cp_b)
         if ma != mb:
             return SeparationWitness(m, va, vb, ma, mb)

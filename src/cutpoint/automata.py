@@ -20,6 +20,12 @@ The quantum readouts sum over the accept states q.  Optional end-markers are
 steps of the same kind: the left marker is applied to the initial object
 before the word is read, the right marker to the object reached after it.
 
+Evaluation is fraction-free: every matrix is turned once per call into
+integer rows over one common denominator (:func:`exactmath.scaled`; complex
+matrices are realified), each step multiplies integers only and multiplies
+the object's denominator by the step's, and each readout builds one
+``Fraction``.  Binary64 machines run the same code on floats with scale 1.
+
 Automata are immutable after construction and evaluation is pure, so a single
 machine can be evaluated concurrently over many words.
 """
@@ -35,10 +41,14 @@ from .exactmath import (
     KIND_COMPLEX_RATIONAL,
     VALIDATION_TOL,
     Matrix,
+    ScalarMixError,
+    int_matmul,
     is_exact_kind,
     join_kinds,
+    quotient,
     scalar_abs_squared,
-    scalar_real,
+    scaled,
+    unscaled,
     validate_matrix,
 )
 
@@ -54,13 +64,18 @@ class Automaton:
     ``alphabet``, ``transitions``, ``initial``, its final part,
     ``left_marker`` and ``right_marker``, and supplies:
 
-    - ``_readout(state)``: the accepting value of the object reached
+    - ``_reader()``: the accepting value as a function of the scaled object
+      reached, with the final part converted once
     - ``_check_final()``: construction checks of the final part
-    - ``_step(op, state)`` when a step is not ``op @ state``
+    - ``_step(op, state)`` when a step is not ``v -> A v``
     - ``_step_kind``: the :func:`validate_matrix` kind every transition and
       marker must pass, or None when any matrix will do
     - ``_density``: the object is an n x n matrix, not an n x 1 column
     - ``_validate_ends(tol)``: violations of the initial object and final part
+
+    Steps and readouts work on the scaled form: an object is a pair
+    (integer rows, denominator) and a step is a pair (integer matrices,
+    denominator) with one matrix per operation element.
     """
 
     _step_kind = None
@@ -98,22 +113,57 @@ class Automaton:
     def is_exact(self) -> bool:
         return is_exact_kind(self.kind)
 
+    # the scaled form
+
+    @property
+    def _realify(self) -> bool:
+        return self.kind in (KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT)
+
+    def _scaled_op(self, op):
+        """A transition or marker (a matrix or a tuple of operation elements)
+        as (integer matrices, d)."""
+        return scaled(op if isinstance(op, tuple) else (op,), self._realify)
+
+    def _scaled_state(self, m: Matrix):
+        (x,), den = scaled((m,), self._realify)
+        # a column's realification is carried by its first column [a; b]
+        return (x if self._density else [r[:1] for r in x]), den
+
     @staticmethod
     def _step(op, state):
-        return op @ state
+        (a,), d = op
+        x, den = state
+        return int_matmul(a, x), den * d
 
-    def initial_state(self):
-        """The initial object with the left marker applied."""
+    def _start(self):
+        """The scaled initial object with the left marker applied."""
+        state = self._scaled_state(self.initial)
         if self.left_marker is None:
-            return self.initial
-        return self._step(self.left_marker, self.initial)
+            return state
+        return self._step(self._scaled_op(self.left_marker), state)
 
-    def accepting_value(self, state):
-        """Accepting value of an object reached after a word: the right
-        marker is applied, then the model's readout."""
-        if self.right_marker is not None:
-            state = self._step(self.right_marker, state)
-        return self._readout(state)
+    def _acceptor(self):
+        """Accepting value of a scaled object: the right marker is applied,
+        then the model's readout."""
+        right = None if self.right_marker is None else self._scaled_op(self.right_marker)
+        read = self._reader()
+
+        def accept(state):
+            if right is not None:
+                state = self._step(right, state)
+            return read(*state)
+
+        return accept
+
+    def _states(self, word):
+        """Yield the scaled object after each prefix of the word."""
+        word = self._check_word(word)
+        ops = {s: self._scaled_op(self.transitions[s]) for s in set(word)}
+        state = self._start()
+        yield state
+        for s in word:
+            state = self._step(ops[s], state)
+            yield state
 
     def _check_word(self, word) -> list:
         word = list(word)
@@ -122,28 +172,36 @@ class Automaton:
                 raise UnknownSymbolError(f"symbol {s!r} not in alphabet {self.alphabet}")
         return word
 
+    # evaluation
+
+    def initial_state(self) -> Matrix:
+        """The initial object with the left marker applied."""
+        return unscaled(*self._start(), self._realify)
+
+    def accepting_value(self, state: Matrix):
+        """Accepting value of an object reached after a word: the right
+        marker is applied, then the model's readout."""
+        if join_kinds(self.kind, state.kind) != self.kind:
+            raise ScalarMixError(f"a {state.kind} object on a {self.kind} machine")
+        return self._acceptor()(self._scaled_state(state))
+
     def value(self, word):
-        state = self.initial_state()
-        for s in self._check_word(word):
-            state = self._step(self.transitions[s], state)
-        return self.accepting_value(state)
+        for state in self._states(word):
+            pass
+        return self._acceptor()(state)
 
     def trace(self, word) -> list[Matrix]:
-        states = [self.initial_state()]
-        for s in self._check_word(word):
-            states.append(self._step(self.transitions[s], states[-1]))
-        return states
+        return [unscaled(x, den, self._realify) for x, den in self._states(word)]
 
     def unary_values(self, limit: int):
         """Yield the accepting value on a^m for m = 0..limit."""
         if not is_unary(self):
             raise ValueError(f"automaton is not unary: alphabet {self.alphabet}")
-        op = self.transitions[self.alphabet[0]]
-        state = self.initial_state()
-        for m in range(limit + 1):
-            yield self.accepting_value(state)
-            if m < limit:
-                state = self._step(op, state)
+        if limit < 0:
+            return
+        accept = self._acceptor()
+        for state in self._states(self.alphabet * limit):
+            yield accept(state)
 
     def validate(self, tol=None) -> list[str]:
         if tol is None:
@@ -190,8 +248,9 @@ class Gfa(Automaton):
     left_marker: Optional[Matrix] = None
     right_marker: Optional[Matrix] = None
 
-    def _readout(self, v: Matrix):
-        return (self.final @ v)[0, 0]
+    def _reader(self):
+        (f,), fd = scaled((self.final,))
+        return lambda x, den: quotient(int_matmul(f, x)[0][0], den * fd)
 
     def _check_final(self):
         n = self.state_count
@@ -259,9 +318,12 @@ class Mcqfa(Automaton):
     _step_kind = "unitary"
     _check_final = _check_accept_states
 
-    def _readout(self, v: Matrix):
-        zero = Fraction(0) if self.is_exact else 0.0
-        return sum((scalar_abs_squared(v[q - 1, 0]) for q in sorted(self.accept_states)), zero)
+    def _reader(self):
+        # rows q and n + q of a realified column hold Re v_q and Im v_q
+        n, accept = self.state_count, sorted(self.accept_states)
+        return lambda x, den: quotient(
+            sum(r[0] * r[0] for q in accept for r in x[q - 1::n]), den * den
+        )
 
     def _validate_ends(self, tol) -> list[str]:
         norm = sum(scalar_abs_squared(self.initial[i, 0]) for i in range(self.state_count))
@@ -302,16 +364,22 @@ class Qfa(Automaton):
         super().__post_init__()
 
     @staticmethod
-    def _step(elements, rho: Matrix) -> Matrix:
+    def _step(op, state):
+        # rho -> sum_E E rho E^T on realified rows; the denominator gains d^2
+        elements, d = op
+        x, den = state
         total = None
         for e in elements:
-            term = e @ rho @ e.conj_transpose()
-            total = term if total is None else total + term
-        return total
+            term = int_matmul(int_matmul(e, x), list(zip(*e)))
+            total = term if total is None else [
+                [a + b for a, b in zip(r, t)] for r, t in zip(total, term)
+            ]
+        return total, den * d * d
 
-    def _readout(self, rho: Matrix):
-        zero = Fraction(0) if self.is_exact else 0.0
-        return sum((scalar_real(rho[q - 1, q - 1]) for q in sorted(self.accept_states)), zero)
+    def _reader(self):
+        # the diagonal of a realified density matrix holds Re rho_qq
+        accept = sorted(self.accept_states)
+        return lambda x, den: quotient(sum(x[q - 1][q - 1] for q in accept), den)
 
     def _validate_ends(self, tol) -> list[str]:
         return [f"initial state: {v}" for v in validate_matrix("density", self.initial, tol)]

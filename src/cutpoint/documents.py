@@ -212,6 +212,8 @@ def _parse_vector_parts(doc, n, alphabet, kind) -> dict:
     transitions = {
         s: _parse_matrix(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
     }
+    left, right = _opt_matrix(doc, "left_marker", kind), _opt_matrix(doc, "right_marker", kind)
+    _check_shapes(n, [*transitions.values(), left, right])
     initial = doc.get("initial", 1)
     if isinstance(initial, int) and not isinstance(initial, bool):
         if not 1 <= initial <= n:
@@ -226,9 +228,17 @@ def _parse_vector_parts(doc, n, alphabet, kind) -> dict:
         alphabet=alphabet,
         transitions=transitions,
         initial=init,
-        left_marker=_opt_matrix(doc, "left_marker", kind),
-        right_marker=_opt_matrix(doc, "right_marker", kind),
+        left_marker=left,
+        right_marker=right,
     )
+
+
+def _check_shapes(n: int, matrices) -> None:
+    """Every step matrix must be n x n.  Checked before the initial object
+    is built, whose size is the claimed ``states`` alone."""
+    for m in matrices:
+        if m is not None and m.shape != (n, n):
+            raise DocumentError(f"transition matrices must be {n} x {n}, got {m.shape}")
 
 
 def _cast_matrix(m: Matrix, kind: str) -> Matrix:
@@ -246,6 +256,10 @@ def _parse_qfa(doc, n, alphabet, kind):
     transitions = {
         s: _parse_kraus(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
     }
+    left, right = doc.get("left_marker"), doc.get("right_marker")
+    left = _parse_kraus(left, kind, "left marker") if left is not None else None
+    right = _parse_kraus(right, kind, "right marker") if right is not None else None
+    _check_shapes(n, [e for op in (*transitions.values(), left, right) for e in op or ()])
     initial = doc.get("initial", 1)
     if isinstance(initial, int) and not isinstance(initial, bool):
         if not 1 <= initial <= n:
@@ -255,16 +269,14 @@ def _parse_qfa(doc, n, alphabet, kind):
         init = _parse_matrix(initial, kind, "initial density matrix")
     else:
         raise DocumentError("initial must be a basis index or a density matrix")
-    left = doc.get("left_marker")
-    right = doc.get("right_marker")
     return Qfa(
         state_count=n,
         alphabet=alphabet,
         transitions=transitions,
         initial=init,
         accept_states=_accept_list(doc, n),
-        left_marker=_parse_kraus(left, kind, "left marker") if left is not None else None,
-        right_marker=_parse_kraus(right, kind, "right marker") if right is not None else None,
+        left_marker=left,
+        right_marker=right,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 KIND_RATIONAL = "rational"
@@ -21,7 +22,6 @@ KIND_FLOAT = "float"
 KIND_COMPLEX_FLOAT = "complex-float"
 
 EXACT_KINDS = (KIND_RATIONAL, KIND_COMPLEX_RATIONAL)
-APPROX_KINDS = (KIND_FLOAT, KIND_COMPLEX_FLOAT)
 
 #: default tolerance for structural validation of binary64 matrices
 VALIDATION_TOL = 1e-12
@@ -228,11 +228,6 @@ class Matrix:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, kind: str = KIND_RATIONAL) -> "Matrix":
-        _, zero = _one_zero(kind)
-        return cls([[zero] * cols for _ in range(rows)])
-
-    @classmethod
     def column(cls, entries: Iterable[Scalar]) -> "Matrix":
         return cls([[x] for x in entries])
 
@@ -379,6 +374,60 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for rb in b.data:
             out.append([x * y for x in ra for y in rb])
     return Matrix(out)
+
+
+# fraction-free form: integer rows over one common denominator
+
+def scaled(matrices: Sequence[Matrix], realify: bool = False) -> tuple[list, Union[int, float]]:
+    """Integer rows of matrices over one common denominator.
+
+    Returns ``(parts, d)`` with ``matrices[k] == parts[k] / d``, d the lcm of
+    the denominators of every entry.  Binary64 entries stay floats and d is
+    1.0, so the type of d tells the two apart and one code path serves both.
+    With ``realify`` a matrix A + iB becomes the real matrix
+    [[A, -B], [B, A]]: realify(E F) = realify(E) realify(F) and
+    realify(E^dagger) = realify(E)^T, so complex steps run as real ones.
+    """
+    parts = []
+    for m in matrices:
+        rows = [list(map(scalar_real, r)) for r in m.data]
+        if realify:
+            imag = [list(map(scalar_imag, r)) for r in m.data]
+            rows = [r + [-x for x in s] for r, s in zip(rows, imag)] + [
+                s + r for r, s in zip(rows, imag)
+            ]
+        parts.append(rows)
+    if not matrices[0].is_exact:
+        return [[[float(x) for x in r] for r in rows] for rows in parts], 1.0
+    d = math.lcm(*(x.denominator for rows in parts for r in rows for x in r))
+    return [
+        [[x.numerator * (d // x.denominator) for x in r] for r in rows] for rows in parts
+    ], d
+
+
+def quotient(x, d):
+    """x / d as a normalised Fraction for an exact scale d, in binary64 otherwise."""
+    return Fraction(x, d) if isinstance(d, int) else x / d
+
+
+def unscaled(rows: list, d, realify: bool = False) -> Matrix:
+    """The matrix ``rows / d``: inverts :func:`scaled`, reading a realified
+    matrix through its first block column (or its one column [a; b])."""
+    if not realify:
+        return Matrix([[quotient(x, d) for x in r] for r in rows])
+    n, w = len(rows) // 2, max(1, len(rows[0]) // 2)
+    make = GaussianRational if isinstance(d, int) else complex
+    return Matrix([
+        [make(quotient(a, d), quotient(b, d)) for a, b in zip(re[:w], im[:w])]
+        for re, im in zip(rows[:n], rows[n:])
+    ])
+
+
+def int_matmul(a: list, b: list) -> list:
+    """Product of two matrices given as lists of rows, on plain integers (or
+    binary64 floats), with no normalisation."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, c)) for c in cols] for r in a]
 
 
 # matrix validation

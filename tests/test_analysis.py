@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutpoint import analysis
 from cutpoint.analysis import (
     ChomskyVerdict,
     SeparationWitness,
@@ -14,7 +15,7 @@ from cutpoint.analysis import (
     separate,
     three_state_separation,
 )
-from cutpoint.automata import Gfa, basis_state
+from cutpoint.automata import Gfa, basis_state, unary_values
 from cutpoint.constructions import (
     OneStateGfaSpec,
     PythTriple,
@@ -151,6 +152,22 @@ class TestSeparate:
         assert w.m == 12
         assert w.value_a == F(32125393, 244140625)
         assert w.member_a and not w.member_b
+
+    def test_one_machine_is_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counting(aut, limit):
+            calls.append(aut)
+            return unary_values(aut, limit)
+
+        monkeypatch.setattr(analysis, "unary_values", counting)
+        a, b = rotation_automaton(PythTriple(2, 1)), rotation_automaton(PythTriple(2, 1))
+        for aut_b in (a, b):
+            calls.clear()
+            w = separate(a, CutpointSpec(F(1, 10)), aut_b, CutpointSpec(F(1, 5)), 100)
+            assert (w.m, w.value_a, w.value_b) == (12, F(32125393, 244140625), w.value_a)
+            assert w.member_a and not w.member_b
+            assert len(calls) == 1
 
     def test_identical_pairs_never_separate(self):
         aut = rotation_automaton(PythTriple(2, 1))

@@ -1,7 +1,11 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutpoint.automata import (
     Gfa,
@@ -22,9 +26,17 @@ from cutpoint.constructions import (
     rotation_matrix,
     three_state_pfa,
 )
-from cutpoint.exactmath import GaussianRational, Matrix, kron
+from cutpoint.exactmath import (
+    GaussianRational,
+    Matrix,
+    ScalarMixError,
+    kron,
+    scalar_abs_squared,
+    scalar_real,
+)
 
 F = Fraction
+G = GaussianRational
 
 
 def swap_matrix():
@@ -377,3 +389,114 @@ class TestConstructionHelpers:
                 Matrix.column([1]),
                 Matrix.row([1]),
             )
+
+
+# reference evaluation by Matrix steps, independent of the integer kernel
+
+
+def _ref_step(aut, op, state):
+    if isinstance(aut, Qfa):
+        return functools.reduce(operator.add, (e @ state @ e.conj_transpose() for e in op))
+    return op @ state
+
+
+def _ref_states(aut, word):
+    state = aut.initial
+    if aut.left_marker is not None:
+        state = _ref_step(aut, aut.left_marker, state)
+    states = [state]
+    for s in word:
+        states.append(_ref_step(aut, aut.transitions[s], states[-1]))
+    return states
+
+
+def _ref_accepting_value(aut, state):
+    if aut.right_marker is not None:
+        state = _ref_step(aut, aut.right_marker, state)
+    if isinstance(aut, Gfa):
+        return (aut.final @ state)[0, 0]
+    zero = F(0) if aut.is_exact else 0.0
+    if isinstance(aut, Mcqfa):
+        terms = (scalar_abs_squared(state[q - 1, 0]) for q in sorted(aut.accept_states))
+    else:
+        terms = (scalar_real(state[q - 1, q - 1]) for q in sorted(aut.accept_states))
+    return sum(terms, zero)
+
+
+def _ref_value(aut, word):
+    return _ref_accepting_value(aut, _ref_states(aut, word)[-1])
+
+
+small = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 5))
+gaussian_small = st.builds(GaussianRational, small, small)
+
+
+@st.composite
+def machines(draw):
+    """Exact machines of every model with arbitrary (unvalidated) entries,
+    Gaussian-rational for the quantum models half of the time, with and
+    without markers."""
+    model = draw(st.sampled_from(["gfa", "pfa", "mcqfa", "qfa"]))
+    n = draw(st.integers(1, 3))
+    gaussian = model in ("mcqfa", "qfa") and draw(st.booleans())
+    entry = gaussian_small if gaussian else small
+
+    def mat(rows, cols):
+        return Matrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+    def op():
+        if model == "qfa":
+            return tuple(mat(n, n) for _ in range(draw(st.integers(1, 2))))
+        return mat(n, n)
+
+    alphabet = draw(st.sampled_from([("a",), ("a", "b")]))
+    transitions = {s: op() for s in alphabet}
+    initial = mat(n, n) if model == "qfa" else mat(n, 1)
+    left = op() if draw(st.booleans()) else None
+    right = op() if draw(st.booleans()) else None
+    if model in ("gfa", "pfa"):
+        cls = Pfa if model == "pfa" else Gfa
+        return cls(n, alphabet, transitions, initial, mat(1, n), left, right)
+    accept = frozenset(draw(st.sets(st.integers(1, n))))
+    cls = Mcqfa if model == "mcqfa" else Qfa
+    return cls(n, alphabet, transitions, initial, accept, left, right)
+
+
+class TestScaledEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(machines(), st.lists(st.sampled_from("ab"), max_size=4), st.integers(0, 4))
+    def test_matches_matrix_steps(self, aut, word, limit):
+        word = [s for s in word if s in aut.alphabet]
+        got = value(aut, word)
+        assert type(got) is Fraction
+        assert got == _ref_value(aut, word)
+        assert trace_run(aut, word) == _ref_states(aut, word)
+        assert aut.initial_state() == _ref_states(aut, [])[0]
+        assert aut.accepting_value(aut.initial) == _ref_accepting_value(aut, aut.initial)
+        if len(aut.alphabet) == 1:
+            values = list(unary_values(aut, limit))
+            assert all(type(v) is Fraction for v in values)
+            assert values == [_ref_value(aut, "a" * m) for m in range(limit + 1)]
+
+    def test_accepting_value_rejects_an_object_of_another_kind(self):
+        with pytest.raises(ScalarMixError):
+            rotation_automaton(PythTriple(2, 1)).accepting_value(Matrix.column([1.0, 0.0]))
+        mc = rotation_automaton(PythTriple(2, 1), model="mcqfa")
+        with pytest.raises(ScalarMixError):
+            mc.accepting_value(Matrix.column([G(F(0), F(1)), G(F(0), F(0))]))
+
+    def test_binary64_complex_machine_within_tolerance(self):
+        # a complex QFA with markers, exact and in binary64: the realified
+        # float steps stay within 1e-12, the tolerance of the other binary64 tests
+        i, one, zero = G(F(0), F(1)), G(F(1), F(0)), G(F(0), F(0))
+        u = Matrix([[i, zero], [zero, one]]) @ rotation_matrix(PythTriple(2, 1)).scale(one)
+        v = rotation_matrix(PythTriple(3, 2)).scale(one)
+        es = (u.scale(F(3, 5)), v.scale(F(4, 5)))
+        aut = Qfa(2, ("a",), {"a": es}, 1, frozenset({1}), left_marker=(v,), right_marker=(u,))
+        approx = Qfa(2, ("a",), {"a": tuple(e.to_float() for e in es)},
+                     basis_density(2, 1).to_float(), frozenset({1}),
+                     left_marker=(v.to_float(),), right_marker=(u.to_float(),))
+        assert validate(aut) == [] and validate(approx) == []
+        for exact, sim in zip(unary_values(aut, 60), unary_values(approx, 60)):
+            assert type(sim) is float
+            assert abs(sim - float(exact)) < 1e-12

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -444,6 +445,23 @@ class TestErrorPaths:
         out = run(["eval", str(path), "--word", "a"])
         assert out.exit_code == 1
         assert out.data["violations"]
+
+    @pytest.mark.parametrize("model", ["pfa", "qfa"])
+    def test_huge_claimed_state_count_is_rejected_at_once(self, tmp_path, model):
+        # the initial object is built only after the transition shapes have
+        # been checked against "states"
+        doc = serialize_automaton(three_state_pfa(F(1, 2)))
+        if model == "qfa":
+            doc = {**doc, "model": "qfa", "final": [3],
+                   "transitions": {"a": [doc["transitions"]["a"]]}}
+        doc["states"] = doc["initial"] = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        out = run(["eval", str(path), "--word", "a"])
+        assert time.perf_counter() - start < 0.1
+        assert out.exit_code == 2
+        assert "transition matrices must be" in out.report
 
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
