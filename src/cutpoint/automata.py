@@ -33,18 +33,19 @@ machine can be evaluated concurrently over many words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .exactmath import (
     KIND_COMPLEX_FLOAT,
     KIND_COMPLEX_RATIONAL,
+    KIND_RATIONAL,
     VALIDATION_TOL,
     Matrix,
     ScalarMixError,
     int_matmul,
     is_exact_kind,
     join_kinds,
+    one_zero,
     quotient,
     scalar_abs_squared,
     scaled,
@@ -62,7 +63,9 @@ class Automaton:
 
     A model is a frozen dataclass with the fields ``state_count``,
     ``alphabet``, ``transitions``, ``initial``, its final part,
-    ``left_marker`` and ``right_marker``, and supplies:
+    ``left_marker`` and ``right_marker``.  ``initial`` may be given as a
+    1-based basis index; the basis object is built in the kind of the steps,
+    once their shapes are checked.  A model supplies:
 
     - ``_reader()``: the accepting value as a function of the scaled object
       reached, with the final part converted once
@@ -84,15 +87,20 @@ class Automaton:
     def __post_init__(self):
         object.__setattr__(self, "alphabet", _check_alphabet(self.alphabet, self.transitions))
         n = self.state_count
-        shape = (n, n) if self._density else (n, 1)
-        if self.initial.shape != shape:
-            raise ValueError(f"initial state must be {n} x {shape[1]}, got {self.initial.shape}")
-        kind = self.initial.kind
+        kind = None
         for _, op in self._steps():
             for m in op if isinstance(op, tuple) else (op,):
                 if m.shape != (n, n):
                     raise ValueError(f"transition matrices must be {n} x {n}, got {m.shape}")
-                kind = join_kinds(kind, m.kind)
+                kind = m.kind if kind is None else join_kinds(kind, m.kind)
+        # the steps fix n before an initial basis object of that size is built
+        if isinstance(self.initial, int):
+            basis = basis_density if self._density else basis_state
+            object.__setattr__(self, "initial", basis(n, self.initial, kind or KIND_RATIONAL))
+        shape = (n, n) if self._density else (n, 1)
+        if self.initial.shape != shape:
+            raise ValueError(f"initial state must be {n} x {shape[1]}, got {self.initial.shape}")
+        kind = self.initial.kind if kind is None else join_kinds(kind, self.initial.kind)
         object.__setattr__(self, "_kind", kind)
         self._check_final()
 
@@ -183,6 +191,8 @@ class Automaton:
         marker is applied, then the model's readout."""
         if join_kinds(self.kind, state.kind) != self.kind:
             raise ScalarMixError(f"a {state.kind} object on a {self.kind} machine")
+        if state.shape != self.initial.shape:
+            raise ValueError(f"object must be {self.initial.shape}, got {state.shape}")
         return self._acceptor()(self._scaled_state(state))
 
     def value(self, word):
@@ -199,8 +209,11 @@ class Automaton:
             raise ValueError(f"automaton is not unary: alphabet {self.alphabet}")
         if limit < 0:
             return
-        accept = self._acceptor()
-        for state in self._states(self.alphabet * limit):
+        accept, op = self._acceptor(), self._scaled_op(self.transitions[self.alphabet[0]])
+        state = self._start()
+        yield accept(state)
+        for _ in range(limit):
+            state = self._step(op, state)
             yield accept(state)
 
     def validate(self, tol=None) -> list[str]:
@@ -336,8 +349,7 @@ class Mcqfa(Automaton):
 class Qfa(Automaton):
     """General quantum automaton: one superoperator (list of operation
     elements) per symbol acting on a density matrix; the accepting value is
-    the probability mass on the accept states at the end.  ``initial`` may be
-    given as a 1-based basis index.
+    the probability mass on the accept states at the end.
     """
 
     state_count: int
@@ -359,8 +371,6 @@ class Qfa(Automaton):
         for name in ("left_marker", "right_marker"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-        if isinstance(self.initial, int):
-            object.__setattr__(self, "initial", basis_density(self.state_count, self.initial))
         super().__post_init__()
 
     @staticmethod
@@ -385,16 +395,17 @@ class Qfa(Automaton):
         return [f"initial state: {v}" for v in validate_matrix("density", self.initial, tol)]
 
 
-def basis_state(n: int, index: int) -> Matrix:
-    """Column vector |q_index> (1-based) as an exact rational matrix."""
+def basis_state(n: int, index: int, kind: str = KIND_RATIONAL) -> Matrix:
+    """Column vector |q_index> (1-based) with entries of the given kind."""
     if not 1 <= index <= n:
         raise ValueError(f"basis index {index} out of range 1..{n}")
-    return Matrix.column([Fraction(1 if i + 1 == index else 0) for i in range(n)])
+    one, zero = one_zero(kind)
+    return Matrix.column([one if i + 1 == index else zero for i in range(n)])
 
 
-def basis_density(n: int, index: int) -> Matrix:
-    """Density matrix |q_index><q_index| (1-based) as an exact rational matrix."""
-    v = basis_state(n, index)
+def basis_density(n: int, index: int, kind: str = KIND_RATIONAL) -> Matrix:
+    """Density matrix |q_index><q_index| (1-based) with entries of the given kind."""
+    v = basis_state(n, index, kind)
     return v @ v.transpose()
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from fractions import Fraction
 
-from .automata import Automaton, Gfa, Mcqfa, Pfa, Qfa, basis_density, basis_state
+from .automata import Automaton, Gfa, Mcqfa, Pfa, Qfa
 from .constructions import OneStateGfaSpec
 from .exactmath import (
     KIND_COMPLEX_FLOAT,
@@ -212,13 +212,9 @@ def _parse_vector_parts(doc, n, alphabet, kind) -> dict:
     transitions = {
         s: _parse_matrix(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
     }
-    left, right = _opt_matrix(doc, "left_marker", kind), _opt_matrix(doc, "right_marker", kind)
-    _check_shapes(n, [*transitions.values(), left, right])
     initial = doc.get("initial", 1)
     if isinstance(initial, int) and not isinstance(initial, bool):
-        if not 1 <= initial <= n:
-            raise DocumentError(f"initial basis index {initial} out of range 1..{n}")
-        init = _cast_matrix(basis_state(n, initial), kind)
+        init = initial  # the constructor builds it once the shapes are checked
     elif isinstance(initial, list):
         init = Matrix.column([_parse_scalar(x, kind) for x in initial])
     else:
@@ -228,55 +224,32 @@ def _parse_vector_parts(doc, n, alphabet, kind) -> dict:
         alphabet=alphabet,
         transitions=transitions,
         initial=init,
-        left_marker=left,
-        right_marker=right,
+        left_marker=_opt_matrix(doc, "left_marker", kind),
+        right_marker=_opt_matrix(doc, "right_marker", kind),
     )
-
-
-def _check_shapes(n: int, matrices) -> None:
-    """Every step matrix must be n x n.  Checked before the initial object
-    is built, whose size is the claimed ``states`` alone."""
-    for m in matrices:
-        if m is not None and m.shape != (n, n):
-            raise DocumentError(f"transition matrices must be {n} x {n}, got {m.shape}")
-
-
-def _cast_matrix(m: Matrix, kind: str) -> Matrix:
-    """Recast an exact rational 0/1 matrix into the document's scalar kind."""
-    if kind == KIND_RATIONAL:
-        return m
-    if kind == KIND_FLOAT:
-        return m.to_float()
-    if kind == KIND_COMPLEX_RATIONAL:
-        return Matrix([[GaussianRational(x, Fraction(0)) for x in r] for r in m.data])
-    return Matrix([[complex(float(x)) for x in r] for r in m.data])
 
 
 def _parse_qfa(doc, n, alphabet, kind):
     transitions = {
         s: _parse_kraus(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
     }
-    left, right = doc.get("left_marker"), doc.get("right_marker")
-    left = _parse_kraus(left, kind, "left marker") if left is not None else None
-    right = _parse_kraus(right, kind, "right marker") if right is not None else None
-    _check_shapes(n, [e for op in (*transitions.values(), left, right) for e in op or ()])
     initial = doc.get("initial", 1)
     if isinstance(initial, int) and not isinstance(initial, bool):
-        if not 1 <= initial <= n:
-            raise DocumentError(f"initial basis index {initial} out of range 1..{n}")
-        init = _cast_matrix(basis_density(n, initial), kind)
+        init = initial  # the constructor builds it once the shapes are checked
     elif isinstance(initial, list):
         init = _parse_matrix(initial, kind, "initial density matrix")
     else:
         raise DocumentError("initial must be a basis index or a density matrix")
+    left = doc.get("left_marker")
+    right = doc.get("right_marker")
     return Qfa(
         state_count=n,
         alphabet=alphabet,
         transitions=transitions,
         initial=init,
         accept_states=_accept_list(doc, n),
-        left_marker=left,
-        right_marker=right,
+        left_marker=_parse_kraus(left, kind, "left marker") if left is not None else None,
+        right_marker=_parse_kraus(right, kind, "right marker") if right is not None else None,
     )
 
 

@@ -224,7 +224,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, kind: str = KIND_RATIONAL) -> "Matrix":
-        one, zero = _one_zero(kind)
+        one, zero = one_zero(kind)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
@@ -322,7 +322,8 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols} {self.kind}]({body})"
 
 
-def _one_zero(kind: str):
+def one_zero(kind: str):
+    """The scalars one and zero of a kind."""
     if kind == KIND_RATIONAL:
         return Fraction(1), Fraction(0)
     if kind == KIND_COMPLEX_RATIONAL:

@@ -153,6 +153,12 @@ class TestSeparate:
         assert w.value_a == F(32125393, 244140625)
         assert w.member_a and not w.member_b
 
+    def test_early_witness_with_a_huge_horizon(self):
+        # values are streamed, so the horizon costs nothing past the witness
+        aut = rotation_automaton(PythTriple(2, 1))
+        w = separate(aut, CutpointSpec(F(1, 10)), aut, CutpointSpec(F(1, 5)), 10**12)
+        assert w.m == 12
+
     def test_one_machine_is_evaluated_once(self, monkeypatch):
         calls = []
 

@@ -378,6 +378,22 @@ class TestConstructionHelpers:
         with pytest.raises(ValueError):
             basis_state(2, 3)
 
+    @pytest.mark.parametrize("cls", [Gfa, Mcqfa])
+    def test_basis_index_initial_takes_the_kind_of_the_steps(self, cls):
+        u = Matrix([[0, 1], [1, 0]]).to_float()
+        final = Matrix.row([0.0, 1.0]) if cls is Gfa else frozenset({2})
+        aut = cls(2, ("a",), {"a": u}, 2, final)
+        assert aut.initial == basis_state(2, 2).to_float()
+        assert value(aut, "") == 1.0
+
+    def test_basis_index_built_after_the_shape_check(self):
+        # a huge claimed state count fails on the transition shapes at once,
+        # before a basis object of that size is allocated
+        for cls, final in ((Pfa, Matrix.row([1])), (Qfa, frozenset({1}))):
+            step = (Matrix.identity(1),) if cls is Qfa else Matrix.identity(1)
+            with pytest.raises(ValueError, match="transition matrices must be"):
+                cls(10**30, ("a",), {"a": step}, 10**30, final)
+
     def test_alphabet_transition_consistency(self):
         with pytest.raises(ValueError):
             Gfa(1, ("a", "b"), {"a": Matrix.identity(1)}, Matrix.column([1]), Matrix.row([1]))
@@ -484,6 +500,21 @@ class TestScaledEvaluation:
         mc = rotation_automaton(PythTriple(2, 1), model="mcqfa")
         with pytest.raises(ScalarMixError):
             mc.accepting_value(Matrix.column([G(F(0), F(1)), G(F(0), F(0))]))
+
+    def test_accepting_value_rejects_an_object_of_another_size(self):
+        three = Gfa(3, ("a",), {"a": Matrix.identity(3)}, 1, Matrix.row([1, 2, 3]))
+        with pytest.raises(ValueError):
+            three.accepting_value(Matrix.column([1, 1]))
+        mc = Mcqfa(3, ("a",), {"a": Matrix.identity(3)}, 1, frozenset({3}))
+        with pytest.raises(ValueError):
+            mc.accepting_value(Matrix.column([0, 1]))
+
+    def test_unary_values_stream(self):
+        # the first value comes before any later step is taken or stored
+        aut = rotation_automaton(PythTriple(2, 1))
+        values = unary_values(aut, 10**12)
+        assert next(values) == 1
+        assert next(values) == value(aut, "a") == F(3, 5)
 
     def test_binary64_complex_machine_within_tolerance(self):
         # a complex QFA with markers, exact and in binary64: the realified
