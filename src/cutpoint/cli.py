@@ -90,8 +90,6 @@ def _cmd_eval(args) -> CommandOutcome:
     else:
         if not is_unary(aut):
             raise documents.DocumentError("--length applies to unary automata only")
-        if args.length < 0:
-            raise documents.DocumentError("--length must be nonnegative")
         word = [aut.alphabet[0]] * args.length
     exact, approx = _format_value(value(aut, word))
     report = f"value = {exact if exact is not None else approx}"
@@ -373,6 +371,9 @@ def run(argv) -> CommandOutcome:
     except SystemExit as e:
         return CommandOutcome(2 if e.code else 0, "")
     try:
+        for flag in ("length", "max"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise documents.DocumentError(f"--{flag} must be nonnegative")
         outcome = args.handler(args)
     except documents.ValidationFailure as e:
         lines = ["validation failed:"] + [f"  - {v}" for v in e.violations]

@@ -12,6 +12,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -218,7 +219,20 @@ class TwoStatePfaAnalysis:
 
 def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
     """Name the language a two-state unary PFA recognizes with a strict
-    cutpoint, deciding every comparison in exact rational arithmetic."""
+    cutpoint, deciding every comparison in exact rational arithmetic.
+
+    In the general case the value on a^m is limit + swing * decay^m with
+    0 < |decay| < 1, and |swing| |decay|^m falls strictly.  So a^m can lie on
+    the other side of the cutpoint from the tail (limit > cutpoint) only for
+    m <= K, the largest m with |swing| |decay|^m >= |limit - cutpoint| (> if
+    the tail is false, since a value equal to the cutpoint then is no flip).
+    Within a parity class the sign of swing * decay^m is fixed, so a class
+    that opposes the tail flips exactly on its indices up to K.  The name
+    follows from the tail and the last flipped index k0 (even) or k1 (odd):
+    All, CoLessOrCoEven(k0+1), CoLessOrEven(k1+1) or CoLess(min+1) for a
+    true tail, Empty, LessAndEven(k0), LessAndCoEven(k1) or Less(max) for a
+    false one.
+    """
     lam = Fraction(cutpoint)
     if p.state_count != 2:
         raise ValueError("classifier needs a two-state machine")
@@ -256,8 +270,8 @@ def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
     swing = p.accepting_value(Matrix.column([offset, -offset]))
     decay = 1 - (x + y)
 
+    tail = limit > lam
     if swing == 0 or decay == 0:
-        tail = limit > lam
         name = {
             (True, True): langsem.ALL,
             (True, False): langsem.EPSILON_ONLY,
@@ -276,21 +290,28 @@ def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
             "on-limit", x, y, offset, limit, swing, decay, name
         )
 
-    # sign of value - cutpoint settles once |swing| |decay|^m < |limit - cutpoint|
-    gap = abs(limit - lam)
-    term = abs(swing)
-    horizon = 0
-    while term >= gap:
-        term *= abs(decay)
-        horizon += 1
-    bits = []
-    power = Fraction(1)
-    for _ in range(horizon):
-        bits.append(limit + swing * power > lam)
-        power *= decay
-    tail = limit > lam
+    last = _last_flip(abs(swing), abs(decay), abs(limit - lam), strict=not tail)
+    # k[par]: the last index of that parity whose value lies on the far side
+    # of the cutpoint from the tail, or None if the class never flips
+    k = [None, None]
+    for par in (0, 1):
+        if last >= par and (swing * decay**par > 0) != tail:
+            k[par] = last - (last - par) % 2
+    k0, k1 = k
+    if tail:
+        if k0 is None:
+            name = langsem.ALL if k1 is None else UnaryName("CoLessOrEven", k1 + 1)
+        elif k1 is None:
+            name = UnaryName("CoLessOrCoEven", k0 + 1)
+        else:
+            name = langsem.co_less(min(k0, k1) + 1)
+    elif k0 is None:
+        name = langsem.EMPTY if k1 is None else UnaryName("LessAndCoEven", k1)
+    elif k1 is None:
+        name = UnaryName("LessAndEven", k0)
+    else:
+        name = langsem.less(max(k0, k1))
     case = "monotone" if decay > 0 else "oscillating"
-    name = _name_from_bits(bits, tail)
     return TwoStatePfaAnalysis(case, x, y, offset, limit, swing, decay, name)
 
 
@@ -298,68 +319,30 @@ def classify_two_state_pfa(p: Pfa, cutpoint) -> UnaryName:
     return analyze_two_state_pfa(p, cutpoint).language
 
 
-_ALL, _NONE, _PREFIX, _SUFFIX = "all", "none", "prefix", "suffix"
+def _last_flip(swing: Fraction, decay: Fraction, gap: Fraction, strict: bool) -> int:
+    """The largest m >= 0 with swing * decay^m >= gap (> gap if ``strict``),
+    or -1 if there is none; swing, gap > 0 and 0 < decay < 1.
 
-
-def _parity_pattern(members: list[tuple[int, bool]], tail: bool):
-    """Collapse one parity class (explicit bits followed by a constant tail)
-    into all / none / prefix-up-to / suffix-from.
-
-    The n of a suffix is the first member in the class, of a prefix the last;
-    anything that switches more than once cannot come from a damped geometric
-    sequence and is reported as a bug.
+    With decay = p/q the condition reads a p^m >= b q^m over integers.  It
+    holds on an initial run of m, found by binary lifting over the powers
+    p^(2^j), q^(2^j): O(log m) integer products and no gcd.
     """
-    trues = [m for m, b in members if b]
-    falses = [m for m, b in members if not b]
-    if tail:
-        if not falses:
-            return (_ALL, None)
-        boundary = max(falses)
-        if all(b == (m > boundary) for m, b in members):
-            return (_SUFFIX, boundary + 2)
-        raise RuntimeError("parity class switches more than once")
-    if not trues:
-        return (_NONE, None)
-    boundary = max(trues)
-    if all(b == (m <= boundary) for m, b in members):
-        return (_PREFIX, boundary)
-    raise RuntimeError("parity class switches more than once")
-
-
-def _name_from_bits(bits: list[bool], tail: bool) -> UnaryName:
-    horizon = len(bits)
-    patterns = []
-    for par in (0, 1):
-        members = [(m, bits[m]) for m in range(par, horizon, 2)]
-        patterns.append(_parity_pattern(members, tail))
-    (even_kind, even_n), (odd_kind, odd_n) = patterns
-
-    table = {
-        (_ALL, _ALL): lambda: langsem.ALL,
-        (_NONE, _NONE): lambda: langsem.EMPTY,
-        (_ALL, _NONE): lambda: langsem.EVEN,
-        (_NONE, _ALL): lambda: langsem.CO_EVEN,
-        (_PREFIX, _NONE): lambda: UnaryName("LessAndEven", even_n),
-        (_NONE, _PREFIX): lambda: UnaryName("LessAndCoEven", odd_n),
-        (_SUFFIX, _NONE): lambda: UnaryName("CoLessAndEven", even_n - 1),
-        (_NONE, _SUFFIX): lambda: UnaryName("CoLessAndCoEven", odd_n - 1),
-        (_ALL, _SUFFIX): lambda: UnaryName("CoLessOrEven", odd_n - 1),
-        (_SUFFIX, _ALL): lambda: UnaryName("CoLessOrCoEven", even_n - 1),
-        (_ALL, _PREFIX): lambda: UnaryName("LessOrEven", odd_n),
-        (_PREFIX, _ALL): lambda: UnaryName("LessOrCoEven", even_n),
-        (_PREFIX, _PREFIX): lambda: _adjacent(langsem.less, max(even_n, odd_n), even_n, odd_n),
-        (_SUFFIX, _SUFFIX): lambda: _adjacent(langsem.co_less, min(even_n, odd_n) - 1, even_n, odd_n),
-    }
-    key = (even_kind, odd_kind)
-    if key not in table:
-        raise RuntimeError(f"unexpected parity pattern pair {key}")
-    return table[key]()
-
-
-def _adjacent(ctor, n, a, b) -> UnaryName:
-    if abs(a - b) != 1:
-        raise RuntimeError(f"parity thresholds {a} and {b} are not adjacent")
-    return ctor(n)
+    holds = operator.gt if strict else operator.ge
+    a = swing.numerator * gap.denominator
+    b = gap.numerator * swing.denominator
+    if not holds(a, b):
+        return -1
+    powers = [(decay.numerator, decay.denominator)]
+    while holds(a * powers[-1][0], b * powers[-1][1]):
+        p, q = powers[-1]
+        powers.append((p * p, q * q))
+    # the condition holds at 0 and fails at 2^(len(powers) - 1)
+    m = 0
+    for j in range(len(powers) - 2, -1, -1):
+        p, q = powers[j]
+        if holds(a * p, b * q):
+            a, b, m = a * p, b * q, m + (1 << j)
+    return m
 
 
 # one-state generalized automata
@@ -428,52 +411,31 @@ def decompose_one_state(spec: OneStateGfaSpec) -> LanguageDescriptor:
     lam = spec.cutpoint
     x_letters = tuple(a for a in sigma if spec.numbers[a] != 0)
     y_letters = frozenset(a for a in x_letters if spec.numbers[a] < 0)
+    magnitudes = {a: abs(spec.numbers[a]) for a in x_letters}
 
     if spec.mode == langsem.INCLUSIVE:
         if lam == 0:
             zeros = frozenset(a for a in sigma if spec.numbers[a] == 0)
             return IndicatorOnly(IndicatorDescriptor(sigma, zeros))
-        sol = SolutionDescriptor(
-            x_letters,
-            {a: abs(spec.numbers[a]) for a in x_letters},
-            abs(lam),
-            relation=EQUALS,
-        )
+        sol = SolutionDescriptor(x_letters, magnitudes, abs(lam), relation=EQUALS)
         bit = 0 if lam > 0 else 1
         return InclusiveForm(sigma, sol, ParityDescriptor(x_letters, y_letters, bit))
 
-    if spec.direction == DIRECTION_LESS:
-        if lam <= 0:
-            # negative products only: stay in X^*, odd parity, magnitude above |cutpoint|
-            sol = SolutionDescriptor(
-                x_letters,
-                {a: 1 / abs(spec.numbers[a]) for a in x_letters},
-                math.inf if lam == 0 else 1 / abs(lam),
-            )
-            return LambdaForm(sigma, sol, ParityDescriptor(x_letters, y_letters, 1))
-        sol = SolutionDescriptor(
-            x_letters, {a: abs(spec.numbers[a]) for a in x_letters}, lam
-        )
-        return VForm(
-            sol,
-            ParityDescriptor(x_letters, y_letters, 1),
-            IndicatorDescriptor(sigma, frozenset(sigma) - set(x_letters)),
-        )
-
-    if lam >= 0:
+    # "less" favours negative products (odd parity), "greater" positive ones
+    bit = 1 if spec.direction == DIRECTION_LESS else 0
+    parity = ParityDescriptor(x_letters, y_letters, bit)
+    if lam <= 0 if bit else lam >= 0:
+        # the cutpoint is on the far side of the accepted sign: words in X^*
+        # with the accepted parity whose product exceeds |cutpoint| in size
         sol = SolutionDescriptor(
             x_letters,
-            {a: 1 / abs(spec.numbers[a]) for a in x_letters},
-            math.inf if lam == 0 else 1 / lam,
+            {a: 1 / c for a, c in magnitudes.items()},
+            math.inf if lam == 0 else 1 / abs(lam),
         )
-        return LambdaForm(sigma, sol, ParityDescriptor(x_letters, y_letters, 0))
-    sol = SolutionDescriptor(
-        x_letters, {a: abs(spec.numbers[a]) for a in x_letters}, abs(lam)
-    )
+        return LambdaForm(sigma, sol, parity)
+    sol = SolutionDescriptor(x_letters, magnitudes, abs(lam))
     return VForm(
-        sol,
-        ParityDescriptor(x_letters, y_letters, 0),
-        IndicatorDescriptor(sigma, frozenset(sigma) - set(x_letters)),
+        sol, parity, IndicatorDescriptor(sigma, frozenset(sigma) - set(x_letters))
     )
 
 
@@ -490,41 +452,28 @@ def build_one_state(d: LanguageDescriptor) -> OneStateGfaSpec:
             a: Fraction(0) if a in d.indicator.subset else Fraction(1) for a in d.sigma
         }
         return OneStateGfaSpec(numbers, Fraction(0), mode=langsem.INCLUSIVE)
+    if not isinstance(d, (LambdaForm, VForm, InclusiveForm)):
+        raise TypeError(f"not a language descriptor: {type(d).__name__}")
 
     sol = d.solution
     if not sol.exact:
         raise ValueError("building a machine needs exact solution coefficients")
-    y = d.parity.subset
     bit = d.parity.bit
-
-    def signed(a, magnitude):
-        return -magnitude if a in y else magnitude
-
-    if isinstance(d, LambdaForm):
-        numbers = {a: Fraction(0) for a in d.sigma}
-        for a in sol.alphabet:
-            numbers[a] = signed(a, 1 / sol.coefficients[a])
-        magnitude = Fraction(0) if sol.threshold == math.inf else 1 / sol.threshold
-        if bit == 1:
-            return OneStateGfaSpec(numbers, -magnitude, DIRECTION_LESS)
-        return OneStateGfaSpec(numbers, magnitude, DIRECTION_GREATER)
-
-    if isinstance(d, VForm):
-        numbers = {a: Fraction(0) for a in d.sigma}
-        for a in sol.alphabet:
-            numbers[a] = signed(a, sol.coefficients[a])
-        if bit == 1:
-            return OneStateGfaSpec(numbers, sol.threshold, DIRECTION_LESS)
-        return OneStateGfaSpec(numbers, -sol.threshold, DIRECTION_GREATER)
+    invert = isinstance(d, LambdaForm)
+    numbers = {a: Fraction(0) for a in d.sigma}
+    for a, c in sol.coefficients.items():
+        magnitude = 1 / c if invert else c
+        numbers[a] = -magnitude if a in d.parity.subset else magnitude
 
     if isinstance(d, InclusiveForm):
-        numbers = {a: Fraction(0) for a in d.sigma}
-        for a in sol.alphabet:
-            numbers[a] = signed(a, sol.coefficients[a])
-        lam = sol.threshold if bit == 0 else -sol.threshold
+        lam = -sol.threshold if bit else sol.threshold
         return OneStateGfaSpec(numbers, lam, mode=langsem.INCLUSIVE)
-
-    raise TypeError(f"not a language descriptor: {type(d).__name__}")
+    if invert:
+        magnitude = Fraction(0) if sol.threshold == math.inf else 1 / sol.threshold
+        lam = -magnitude if bit else magnitude
+    else:
+        lam = sol.threshold if bit else -sol.threshold
+    return OneStateGfaSpec(numbers, lam, DIRECTION_LESS if bit else DIRECTION_GREATER)
 
 
 def normalize_one_state(

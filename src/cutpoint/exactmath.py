@@ -650,7 +650,7 @@ def complete_to_unitary(first_row) -> Matrix:
 
 # number theory
 
-def _exponent_vectors(bases) -> list[dict[int, int]]:
+def exponent_vectors(bases) -> list[dict[int, int]]:
     """Exponent vectors of positive rationals over one pairwise-coprime base.
 
     The numerators and denominators are refined by gcd splitting (Bach,
@@ -721,7 +721,7 @@ def logs_rationally_equivalent(bases) -> bool:
     dependent exactly when the exponent vectors of the bases over a common
     coprime base (excluding 1, whose log is 0) are pairwise parallel.
     """
-    vectors = [v for v in _exponent_vectors(bases) if v]
+    vectors = [v for v in exponent_vectors(bases) if v]
     if len(vectors) <= 1:
         return True
     ref = vectors[0]

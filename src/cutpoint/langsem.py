@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .automata import Automaton, Gfa, Pfa, unary_values
-from .exactmath import GaussianRational, scalar_kind
+from .exactmath import GaussianRational, exponent_vectors, scalar_kind
 
 #: default tolerance for inclusive/exclusive comparison of binary64 values
 VALUE_TOL = 1e-9
@@ -511,15 +511,14 @@ def unary_name_of_descriptor(d: LanguageDescriptor) -> UnaryName:
 
 
 def _exact_log(tau: Fraction, base: Fraction) -> Optional[int]:
-    """The nonnegative integer n with base**n == tau, or None."""
-    if tau == 1:
-        return 0
-    increasing = base > 1
-    product, n = Fraction(1), 0
-    while True:
-        product *= base
-        n += 1
-        if product == tau:
-            return n
-        if (increasing and product > tau) or (not increasing and product < tau):
-            return None
+    """The nonnegative integer n with base**n == tau, or None; base != 1.
+
+    Over one coprime base, base**n == tau exactly when the exponent vector
+    of tau is n times that of base, so no power is ever formed.
+    """
+    vt, vb = exponent_vectors([tau, base])
+    b, e = next(iter(vb.items()))
+    n, rem = divmod(vt.get(b, 0), e)
+    if rem or n < 0 or vt != {q: n * f for q, f in vb.items() if n}:
+        return None
+    return n

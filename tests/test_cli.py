@@ -1,6 +1,5 @@
 import io
 import json
-import time
 from fractions import Fraction
 
 import pytest
@@ -422,6 +421,23 @@ class TestMalformedDescriptors:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["eval", "{rot}", "--length", "-1"], "--length"),
+            (["enum", "{rot}", "--cutpoint", "1/2", "--max", "-1"], "--max"),
+            (["csv", "{rot}", "--max", "-1"], "--max"),
+            (["separate", "{rot}", "{rot}", "--cutpoint-a", "1/10", "--cutpoint-b", "1/5",
+              "--max", "-1"], "--max"),
+            (["density", "--triple", "2,1", "--bins", "4", "--max", "-1"], "--max"),
+        ],
+        ids=["eval", "enum", "csv", "separate", "density"],
+    )
+    def test_negative_count_exits_two(self, rotation_file, argv, flag):
+        out = run([a.format(rot=rotation_file) for a in argv])
+        assert out.exit_code == 2
+        assert out.report == f"error: {flag} must be nonnegative"
+
     def test_unknown_command_exits_two(self, capsys):
         assert run(["frobnicate"]).exit_code == 2
         capsys.readouterr()
@@ -447,7 +463,7 @@ class TestErrorPaths:
         assert out.data["violations"]
 
     @pytest.mark.parametrize("model", ["pfa", "qfa"])
-    def test_huge_claimed_state_count_is_rejected_at_once(self, tmp_path, model):
+    def test_huge_claimed_state_count_is_rejected_at_once(self, tmp_path, model, best_of_three):
         # the initial object is built only after the transition shapes have
         # been checked against "states"
         doc = serialize_automaton(three_state_pfa(F(1, 2)))
@@ -457,9 +473,8 @@ class TestErrorPaths:
         doc["states"] = doc["initial"] = 10**30
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        start = time.perf_counter()
-        out = run(["eval", str(path), "--word", "a"])
-        assert time.perf_counter() - start < 0.1
+        seconds, out = best_of_three(lambda: run(["eval", str(path), "--word", "a"]))
+        assert seconds < 0.1
         assert out.exit_code == 2
         assert "transition matrices must be" in out.report
 

@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutpoint import langsem
 from cutpoint.automata import Mcqfa, Pfa, basis_state, unary_values, validate
 from cutpoint.constructions import (
     OneStateGfaSpec,
     PythTriple,
+    TwoStatePfaAnalysis,
     analyze_two_state_pfa,
     build_one_state,
     classify_two_state_pfa,
@@ -160,7 +163,117 @@ def two_state(x, y, v0, f, left=None, right=None):
     )
 
 
+def _scan_name(limit, swing, decay, lam):
+    """Reference for the general case: scan the exact bits of
+    limit + swing * decay^m > lam up to the first m with
+    |swing| |decay|^m < |limit - lam|, then read each parity class's one
+    switch back into a name.  Returns the name and that horizon."""
+    gap, term, horizon = abs(limit - lam), abs(swing), 0
+    while term >= gap:
+        term *= abs(decay)
+        horizon += 1
+    bits = [limit + swing * decay**m > lam for m in range(horizon)]
+    tail = limit > lam
+    patterns = []
+    for par in (0, 1):
+        members = [(m, bits[m]) for m in range(par, horizon, 2)]
+        trues = [m for m, b in members if b]
+        falses = [m for m, b in members if not b]
+        if tail and not falses:
+            patterns.append(("all", None))
+        elif tail:
+            boundary = max(falses)
+            assert all(b == (m > boundary) for m, b in members)
+            patterns.append(("suffix", boundary + 2))
+        elif not trues:
+            patterns.append(("none", None))
+        else:
+            boundary = max(trues)
+            assert all(b == (m <= boundary) for m, b in members)
+            patterns.append(("prefix", boundary))
+    (even_kind, e), (odd_kind, o) = patterns
+    if even_kind == odd_kind in ("prefix", "suffix"):
+        assert abs(e - o) == 1
+    name = {
+        ("all", "all"): lambda: langsem.ALL,
+        ("none", "none"): lambda: langsem.EMPTY,
+        ("all", "none"): lambda: langsem.EVEN,
+        ("none", "all"): lambda: langsem.CO_EVEN,
+        ("prefix", "none"): lambda: langsem.UnaryName("LessAndEven", e),
+        ("none", "prefix"): lambda: langsem.UnaryName("LessAndCoEven", o),
+        ("suffix", "none"): lambda: langsem.UnaryName("CoLessAndEven", e - 1),
+        ("none", "suffix"): lambda: langsem.UnaryName("CoLessAndCoEven", o - 1),
+        ("all", "suffix"): lambda: langsem.UnaryName("CoLessOrEven", o - 1),
+        ("suffix", "all"): lambda: langsem.UnaryName("CoLessOrCoEven", e - 1),
+        ("all", "prefix"): lambda: langsem.UnaryName("LessOrEven", o),
+        ("prefix", "all"): lambda: langsem.UnaryName("LessOrCoEven", e),
+        ("prefix", "prefix"): lambda: langsem.less(max(e, o)),
+        ("suffix", "suffix"): lambda: langsem.co_less(min(e, o) - 1),
+    }[even_kind, odd_kind]()
+    return name, horizon
+
+
+small_prob = st.integers(1, 12).flatmap(
+    lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))
+)
+
+
+@st.composite
+def stochastic_2x2(draw):
+    a, b = draw(small_prob), draw(small_prob)
+    return Matrix([[1 - a, b], [a, 1 - b]])
+
+
+@st.composite
+def two_state_questions(draw):
+    """A random exact two-state unary PFA, stochastic initial vector, markers
+    half of the time, and a cutpoint drawn at random, on a value a^k (k <= 8)
+    or on the limit."""
+    u = draw(small_prob)
+    left = draw(st.none() | stochastic_2x2())
+    right = draw(st.none() | stochastic_2x2())
+    weight = small_prob if right is not None else st.sampled_from([F(0), F(1)])
+    p = Pfa(
+        2,
+        ("a",),
+        {"a": draw(stochastic_2x2())},
+        Matrix.column([u, 1 - u]),
+        Matrix.row([draw(weight), draw(weight)]),
+        left_marker=left,
+        right_marker=right,
+    )
+    where = draw(st.sampled_from(["random", "value", "limit"]))
+    if where == "value":
+        lam = p.value("a" * draw(st.integers(0, 8)))
+    elif where == "limit" and analyze_two_state_pfa(p, 0).limit is not None:
+        lam = analyze_two_state_pfa(p, 0).limit
+    else:
+        lam = draw(st.builds(Fraction, st.integers(0, 200), st.just(201)))
+    return p, lam
+
+
 class TestTwoStateClassifier:
+    @settings(max_examples=400, deadline=None)
+    @given(two_state_questions())
+    def test_general_case_matches_the_bit_scan(self, question):
+        p, lam = question
+        got = analyze_two_state_pfa(p, lam)
+        assert type(got) is TwoStatePfaAnalysis
+        horizon = 2
+        if got.case in ("monotone", "oscillating"):
+            name, horizon = _scan_name(got.limit, got.swing, got.decay, lam)
+            assert got.language == name
+        for m, v in enumerate(unary_values(p, horizon + 3)):
+            assert named_member(got.language, m) == (v > lam), (m, got)
+
+    def test_slow_decay_tiny_gap_is_fast(self, best_of_three):
+        # x = y = 1/10^4: the last flip is at m = 65605
+        p = two_state(F(1, 10**4), F(1, 10**4), (1, 0), (0, 1))
+        lam = F(1, 2) - F(1, 10**6)
+        seconds, name = best_of_three(lambda: classify_two_state_pfa(p, lam))
+        assert name == langsem.co_less(65605)
+        assert seconds < 2
+
     def test_swap_machine_gives_co_even(self):
         p = two_state(1, 1, (1, 0), (0, 1))
         assert classify_two_state_pfa(p, F(1, 2)) == langsem.CO_EVEN

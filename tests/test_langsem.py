@@ -7,7 +7,9 @@ import pytest
 
 from cutpoint import langsem
 from cutpoint.constructions import (
+    OneStateGfaSpec,
     PythTriple,
+    decompose_one_state,
     modn_mcqfa,
     rotation_automaton,
     three_state_pfa,
@@ -323,6 +325,31 @@ class TestUnaryNameOfDescriptor:
         sol = SolutionDescriptor(x, {"a": F(2)}, F(8), relation="=")
         d = InclusiveForm(x, sol, ParityDescriptor(x, frozenset({"a"}), 0))
         assert unary_name_of_descriptor(d) == langsem.EMPTY
+
+    def test_near_one_base_is_decided_without_powers(self, best_of_three):
+        # 2 is no power of 100001/100000, and a power scan would pass 2
+        # only after about 69000 products
+        spec = OneStateGfaSpec({"a": F(100001, 100000)}, 2, mode="inclusive")
+        seconds, name = best_of_three(lambda: unary_name_of_descriptor(decompose_one_state(spec)))
+        assert name == langsem.EMPTY
+        assert seconds < 0.1
+
+    @pytest.mark.parametrize(
+        "base, tau, expected",
+        [
+            (F(100001, 100000), F(100001, 100000) ** 50, langsem.singleton_length(50)),
+            (F(4, 9), F(27, 8), langsem.EMPTY),  # (2/3)^-3: a negative exponent
+            (F(4, 9), F(8, 27), langsem.EMPTY),  # (2/3)^3: half an exponent of 4/9
+            (F(4, 9), F(16, 81), langsem.singleton_length(2)),
+            (F(12), F(72), langsem.EMPTY),  # 72 = 12 * 6
+            (F(6), F(1), langsem.singleton_length(0)),
+        ],
+    )
+    def test_exact_log_cases(self, base, tau, expected):
+        x = ("a",)
+        sol = SolutionDescriptor(x, {"a": base}, tau, relation="=")
+        d = InclusiveForm(x, sol, ParityDescriptor(x, frozenset(), 0))
+        assert unary_name_of_descriptor(d) == expected
 
     def test_all_and_parities(self):
         x = ("a",)
