@@ -33,6 +33,7 @@ machine can be evaluated concurrently over many words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .exactmath import (
@@ -332,11 +333,17 @@ class Mcqfa(Automaton):
     _check_final = _check_accept_states
 
     def _reader(self):
-        # rows q and n + q of a realified column hold Re v_q and Im v_q
+        # rows q and n + q of a realified column hold Re v_q and Im v_q; one
+        # nonzero entry x gives (x/den)^2, whose gcd runs on half the bits
         n, accept = self.state_count, sorted(self.accept_states)
-        return lambda x, den: quotient(
-            sum(r[0] * r[0] for q in accept for r in x[q - 1::n]), den * den
-        )
+
+        def read(x, den):
+            parts = [r[0] for q in accept for r in x[q - 1::n] if r[0]]
+            if len(parts) == 1 and isinstance(den, int):
+                return Fraction(parts[0], den) ** 2
+            return quotient(sum(v * v for v in parts), den * den)
+
+        return read
 
     def _validate_ends(self, tol) -> list[str]:
         norm = sum(scalar_abs_squared(self.initial[i, 0]) for i in range(self.state_count))

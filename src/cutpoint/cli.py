@@ -51,6 +51,8 @@ def _parse_numbers(items) -> dict:
         letter, sep, val = item.partition("=")
         if not sep or not letter:
             raise documents.DocumentError(f"bad letter=number pair {item!r}")
+        if letter in numbers:
+            raise documents.DocumentError(f"duplicate letter {letter!r} in --numbers")
         numbers[letter] = documents.parse_rational(val)
     return numbers
 

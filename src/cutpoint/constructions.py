@@ -5,23 +5,22 @@ rational rotation matrix whose angle is an irrational fraction of pi, so the
 accepting-value sequence never repeats.  The three-state probabilistic family
 realizes a damped oscillation around an exact rational limit.  The two-state
 probabilistic classifier and the one-state decomposition translate machines
-into named languages and descriptors, both decided entirely in exact rational
-arithmetic.
+into named languages and descriptors, both decided exactly.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from . import langsem
 from .automata import Gfa, Mcqfa, Pfa, basis_state
-from .exactmath import Matrix, complete_to_unitary, kron, scalar_to_float
+from .exactmath import Matrix, PowerSign, complete_to_unitary, kron, scalar_to_float
 from .langsem import (
     EQUALS,
     IndicatorDescriptor,
@@ -219,7 +218,7 @@ class TwoStatePfaAnalysis:
 
 def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
     """Name the language a two-state unary PFA recognizes with a strict
-    cutpoint, deciding every comparison in exact rational arithmetic.
+    cutpoint, deciding every comparison exactly.
 
     In the general case the value on a^m is limit + swing * decay^m with
     0 < |decay| < 1, and |swing| |decay|^m falls strictly.  So a^m can lie on
@@ -323,26 +322,35 @@ def _last_flip(swing: Fraction, decay: Fraction, gap: Fraction, strict: bool) ->
     """The largest m >= 0 with swing * decay^m >= gap (> gap if ``strict``),
     or -1 if there is none; swing, gap > 0 and 0 < decay < 1.
 
-    With decay = p/q the condition reads a p^m >= b q^m over integers.  It
-    holds on an initial run of m, found by binary lifting over the powers
-    p^(2^j), q^(2^j): O(log m) integer products and no gcd.
+    The condition holds on an initial run of m.  Its end is near
+    log(gap / swing) / log(decay) in binary64; exact sign tests of
+    decay^m - gap / swing bracket it, galloping outward from that estimate
+    and then bisecting.
     """
-    holds = operator.gt if strict else operator.ge
-    a = swing.numerator * gap.denominator
-    b = gap.numerator * swing.denominator
-    if not holds(a, b):
+    test = PowerSign({0: decay}, gap / swing)
+    least = 1 if strict else 0
+
+    def holds(m: int) -> bool:
+        return test.sign({0: m}) >= least
+
+    if not holds(0):
         return -1
-    powers = [(decay.numerator, decay.denominator)]
-    while holds(a * powers[-1][0], b * powers[-1][1]):
-        p, q = powers[-1]
-        powers.append((p * p, q * q))
-    # the condition holds at 0 and fails at 2^(len(powers) - 1)
-    m = 0
-    for j in range(len(powers) - 2, -1, -1):
-        p, q = powers[j]
-        if holds(a * p, b * q):
-            a, b, m = a * p, b * q, m + (1 << j)
-    return m
+    try:
+        lo = max(0, int(test.log_tau[0] / test.logs[0][0]))
+    except (ZeroDivisionError, OverflowError):  # decay - 1 underflows binary64
+        lo = 0
+    hi, step = lo + 1, 1
+    while not holds(lo):
+        lo, hi, step = max(0, lo - step), lo, 2 * step
+    while holds(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # one-state generalized automata
@@ -376,25 +384,39 @@ class OneStateGfaSpec:
     def alphabet(self) -> tuple:
         return tuple(sorted(self.numbers))
 
+    @cached_property
+    def _acceptance(self) -> tuple:
+        """The zero letters, the negative letters, the cutpoint's sign and
+        the sign test of the magnitudes (None for cutpoint 0)."""
+        lam, nums = self.cutpoint, self.numbers
+        sign = (lam > 0) - (lam < 0)
+        test = PowerSign({a: abs(c) for a, c in nums.items() if c}, abs(lam)) if sign else None
+        return [a for a in nums if not nums[a]], [a for a in nums if nums[a] < 0], sign, test
+
 
 def one_state_accepts(spec: OneStateGfaSpec, word) -> bool:
     """Direct evaluation of the acceptance condition: the product of the
     per-letter numbers raised to the letter counts, compared to the cutpoint
     (with the empty product equal to 1, including 0^0 = 1).  A ``Counter`` of
-    letter counts is accepted in place of the word."""
+    letter counts is accepted in place of the word.
+
+    The product is never formed: a used zero letter makes it 0, the negative
+    letters give its sign, and :class:`exactmath.PowerSign` compares its
+    magnitude with that of the cutpoint."""
     counts = word if isinstance(word, Counter) else Counter(word)
     unknown = set(counts) - set(spec.numbers)
     if unknown:
         raise ValueError(f"letters {sorted(unknown)} outside alphabet {spec.alphabet}")
-    product = Fraction(1)
-    for a, k in counts.items():
-        if k:
-            product *= spec.numbers[a] ** k
+    zeros, negatives, cut_sign, magnitude = spec._acceptance
+    if any(counts[a] for a in zeros):
+        # the product is 0; order is the sign of 0 - cutpoint
+        order = -cut_sign
+    else:
+        sign = -1 if sum(counts[a] for a in negatives) % 2 else 1
+        order = sign if sign != cut_sign else sign * magnitude.sign(counts)
     if spec.mode == langsem.INCLUSIVE:
-        return product == spec.cutpoint
-    if spec.direction == DIRECTION_LESS:
-        return product < spec.cutpoint
-    return product > spec.cutpoint
+        return order == 0
+    return order < 0 if spec.direction == DIRECTION_LESS else order > 0
 
 
 def decompose_one_state(spec: OneStateGfaSpec) -> LanguageDescriptor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -695,6 +696,87 @@ def exponent_vectors(bases) -> list[dict[int, int]]:
         v.update((b, -e) for b, e in exponents(r.denominator).items())
         vectors.append(v)
     return vectors
+
+
+class PowerSign:
+    """The sign of prod_k b_k^n_k - tau for positive rationals b_k (keyed by
+    any hashable k) and tau, and integer counts n_k >= 0: the sign of
+    S = sum_k n_k log b_k - log tau, found on one precision ladder.
+
+    1. Binary64.  L = log1p(b - 1) for 1/2 <= b <= 2 is within
+       16u|L| + 2^-1060 of log b (u = 2^-53), else log(num) - log(den) is
+       within 16u(log num + log den + 2); each libm call may be 2 ulp off.
+       Rounding the counts (any below 2^1024), the m products and m sums
+       adds (m + 3)u(sum_k n_k |L_k| + |L_tau|).  The bound is twice the
+       total, which covers rounding the bound; |S'| above it gives the sign.
+    2. Exact tie: S = 0 iff vec(tau) = sum_k n_k vec(b_k) over one coprime
+       base (:func:`exponent_vectors`).
+    3. Decimal.  At p digits the correctly rounded ln of num/den (rounded)
+       is within 10^(1-p)(1 + |D|) of log b, and S' within
+       10^(1-p)((m + 3)T + N + 1) of S, with T = sum_k n_k |D_k| + |D_tau|
+       and N = sum_k n_k.  p doubles from 40 until |S'| exceeds ten times
+       that.  S != 0, so this ends, at a p polynomial in the input's bit
+       size (Baker & Wustholz, J. reine angew. Math. 442, 1993).
+    """
+
+    def __init__(self, bases, tau):
+        self.bases = {k: Fraction(b) for k, b in bases.items()}
+        self.tau = Fraction(tau)
+        if self.tau <= 0 or any(b <= 0 for b in self.bases.values()):
+            raise ValueError("bases and tau must be positive")
+        slack = (len(self.bases) + 3) * 2.0**-52
+        # each key maps to its binary64 log and that log's share of the bound
+        self.logs = {k: _binary64_log(b, slack) for k, b in self.bases.items()}
+        self.log_tau = _binary64_log(self.tau, slack)
+        self._vectors = None
+
+    def sign(self, counts) -> int:
+        """-1, 0 or 1 as prod_k b_k^n_k is below, at or above tau; ``counts``
+        maps keys to n_k, a missing key counting 0."""
+        log, bound = self.log_tau
+        s = -log
+        try:
+            for k, (log, weight) in self.logs.items():
+                n = counts.get(k, 0)
+                if n:
+                    s += n * log
+                    bound += n * weight
+        except OverflowError:
+            bound = math.inf
+        if abs(s) > bound:
+            return 1 if s > 0 else -1
+        if self._vectors is None:
+            *vecs, vec_tau = exponent_vectors([*self.bases.values(), self.tau])
+            self._vectors = list(zip(self.bases, vecs)), vec_tau
+        vecs, vec_tau = self._vectors
+        total = {}
+        for k, vec in vecs:
+            n = counts.get(k, 0)
+            for q, e in vec.items():
+                total[q] = total.get(q, 0) + n * e
+        if {q: e for q, e in total.items() if e} == vec_tau:
+            return 0
+        used = [(counts.get(k, 0), b) for k, b in self.bases.items()] + [(-1, self.tau)]
+        prec = 40
+        while True:
+            with localcontext(Context(prec=prec)):
+                terms = [n * (Decimal(b.numerator) / b.denominator).ln() for n, b in used]
+                s, size = sum(terms), sum(map(abs, terms))
+                if abs(s) > ((len(used) + 2) * size + sum(n for n, _ in used) + 2).scaleb(2 - prec):
+                    return 1 if s > 0 else -1
+            prec *= 2
+
+
+def _binary64_log(b: Fraction, slack: float) -> tuple[float, float]:
+    """log b in binary64 and its weight in the bound of :class:`PowerSign`."""
+    num, den = b.numerator, b.denominator
+    if den <= 2 * num and num <= 2 * den:
+        log = math.log1p(b - 1)
+        err = 16 * 2.0**-53 * abs(log) + 2.0**-1060
+    else:
+        ln, ld = math.log(num), math.log(den)
+        log, err = ln - ld, 16 * 2.0**-53 * (ln + ld + 2)
+    return log, 2 * err + slack * abs(log)
 
 
 def logs_same_sign(bases) -> bool:

@@ -4,10 +4,12 @@ A cutpoint turns an automaton into a language: the words whose accepting
 value is above the cutpoint (strict), equal to it (inclusive), or different
 from it (exclusive).  The descriptors here name the Parikh-closed languages a
 one-state generalized automaton can recognize: a *solution* component (a
-linear inequality or equation on letter counts, kept multiplicatively as
-exact rational bases so that no logarithm is ever evaluated), a *parity*
-component on a subset of letters, and an *indicator* component (words
-containing at least one letter from a set).
+linear inequality or equation on letter counts, kept as exact rational bases
+whose power product is never formed: the exact sign test
+:class:`exactmath.PowerSign` compares it with the threshold through
+logarithms with an error bound and an exact tie test), a *parity* component
+on a subset of letters, and an *indicator* component (words containing at
+least one letter from a set).
 
 ``UnaryName`` enumerates the regular languages over a one-letter alphabet
 that two-state probabilistic automata can recognize with a strict cutpoint.
@@ -18,11 +20,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
 from .automata import Automaton, Gfa, Pfa, unary_values
-from .exactmath import GaussianRational, exponent_vectors, scalar_kind
+from .exactmath import GaussianRational, PowerSign, exponent_vectors, scalar_kind
 
 #: default tolerance for inclusive/exclusive comparison of binary64 values
 VALUE_TOL = 1e-9
@@ -126,9 +129,10 @@ class SolutionDescriptor:
     In exact mode each coefficient is stored as a positive rational base
     ``c`` standing for the coefficient ``log c``, and the threshold as a
     positive rational ``tau`` standing for ``log tau`` (``math.inf`` means an
-    unbounded threshold).  Membership is then decided multiplicatively over
-    exact rationals.  In approximate mode the coefficients and threshold are
-    the binary64 values themselves.
+    unbounded threshold).  Membership is then the sign of
+    prod_a c_a^n_a - tau, decided exactly by :class:`exactmath.PowerSign`
+    without forming the product.  In approximate mode the coefficients and
+    threshold are the binary64 values themselves.
     """
 
     alphabet: tuple
@@ -171,21 +175,23 @@ class SolutionDescriptor:
         the word must lie in alphabet^*."""
         if any(c not in self.coefficients and n > 0 for c, n in counts.items()):
             return False
-        if self.threshold == math.inf:
+        if not self.exact:
+            if self.threshold == math.inf:
+                return True
+            total = sum(b * counts.get(a, 0) for a, b in self.coefficients.items())
+            return total < self.threshold if self.relation == LESS else total == self.threshold
+        test = self._power_sign
+        if test is None:
             return True
-        if self.exact:
-            product = Fraction(1)
-            for a, base in self.coefficients.items():
-                n = counts.get(a, 0)
-                if n:
-                    product *= base**n
-            if self.relation == LESS:
-                return product < self.threshold
-            return product == self.threshold
-        total = sum(b * counts.get(a, 0) for a, b in self.coefficients.items())
-        if self.relation == LESS:
-            return total < self.threshold
-        return total == self.threshold
+        sign = test.sign(counts)
+        return sign < 0 if self.relation == LESS else sign == 0
+
+    @cached_property
+    def _power_sign(self) -> Optional[PowerSign]:
+        """The exact sign test, None for an unbounded threshold."""
+        if self.threshold != math.inf:
+            return PowerSign(self.coefficients, self.threshold)
+        return None
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,12 @@ class TestOneStateCommands:
         out = run(["decompose-1gfa", "--numbers", "a:2", "--cutpoint", "1"])
         assert out.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["decompose-1gfa", "chomsky"])
+    def test_repeated_letter_is_refused(self, command):
+        out = run([command, "--numbers", "a=1", "a=2", "--cutpoint", "1"])
+        assert out.exit_code == 2
+        assert out.report == "error: duplicate letter 'a' in --numbers"
+
 
 class TestChomsky:
     def test_from_numbers(self):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,17 @@ class TestTwoStateClassifier:
         assert name == langsem.co_less(65605)
         assert seconds < 2
 
+    @pytest.mark.parametrize(
+        "x, last",
+        [(F(1, 10**5), 656111), (F(1, 2 * 10**9), 13122363370)],  # decay 1 - 10^-9
+    )
+    def test_threshold_time_is_polynomial(self, best_of_three, x, last):
+        p = two_state(x, x, (1, 0), (0, 1))
+        lam = F(1, 2) - F(1, 10**6)
+        seconds, name = best_of_three(lambda: classify_two_state_pfa(p, lam))
+        assert name == langsem.co_less(last)
+        assert seconds < 0.1
+
     def test_swap_machine_gives_co_even(self):
         p = two_state(1, 1, (1, 0), (0, 1))
         assert classify_two_state_pfa(p, F(1, 2)) == langsem.CO_EVEN
@@ -486,6 +498,23 @@ class TestOneStateDecomposition:
             d = decompose_one_state(spec)
             for w in words:
                 assert desc_member(d, w) == one_state_accepts(spec, w), (spec, w)
+
+
+    @pytest.mark.parametrize(
+        "cut, mode, counts, expected",
+        [
+            (F(7, 5), "strict", (10**12, 10**12 - 1), False),  # 3/2 < 7/5 fails
+            (F(7, 5), "strict", (10**12 - 1, 10**12), True),  # 2/3 < 7/5
+            (F(3, 2), "inclusive", (10**12 + 1, 10**12), True),  # an exact tie
+            (F(3, 2), "inclusive", (10**12, 10**12), False),
+        ],
+    )
+    def test_huge_counts_are_fast(self, best_of_three, cut, mode, counts, expected):
+        spec = OneStateGfaSpec({"a": F(3, 2), "b": F(2, 3)}, cut, "less", mode)
+        word = Counter(dict(zip("ab", counts)))
+        seconds, got = best_of_three(lambda: one_state_accepts(spec, word))
+        assert got is expected
+        assert seconds < 0.1
 
 
 class TestOneStateBuild:
