@@ -666,14 +666,17 @@ def exponent_vectors(bases) -> list[dict[int, int]]:
     coprime: list[int] = []
     todo = [n for r in rationals for n in (r.numerator, r.denominator) if n > 1]
     while todo:
-        # each split replaces x and b by g, b/g, x/g with g > 1, so the
-        # product of the pending and kept numbers falls and the loop ends
+        # each split replaces x and b by g > 1 and their parts prime to g,
+        # so the product of the pending and kept numbers falls and the loop
+        # ends; removing every power of g at once keeps a high power of one
+        # number from coming round once per factor
         x = todo.pop()
         for k, b in enumerate(coprime):
             g = math.gcd(x, b)
             if g > 1:
                 del coprime[k]
-                todo += [y for y in (g, b // g, x // g) if y > 1]
+                parts = (g, _divide_out(b, g)[0], _divide_out(x, g)[0])
+                todo += [y for y in parts if y > 1]
                 break
         else:
             coprime.append(x)
@@ -681,10 +684,7 @@ def exponent_vectors(bases) -> list[dict[int, int]]:
     def exponents(n: int) -> dict[int, int]:
         out = {}
         for b in coprime:
-            e = 0
-            while n % b == 0:
-                n //= b
-                e += 1
+            n, e = _divide_out(n, b)
             if e:
                 out[b] = e
         return out
@@ -696,6 +696,15 @@ def exponent_vectors(bases) -> list[dict[int, int]]:
         v.update((b, -e) for b, e in exponents(r.denominator).items())
         vectors.append(v)
     return vectors
+
+
+def _divide_out(n: int, b: int) -> tuple[int, int]:
+    """n / b^e and the largest e with b^e dividing n; b > 1."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return n, e
 
 
 class PowerSign:

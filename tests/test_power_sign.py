@@ -104,6 +104,15 @@ class TestPowerSign:
         test = PowerSign({"a": b}, b**7 * F(10**70 + 1, 10**70))
         assert [test.sign({"a": m}) for m in range(5, 10)] == [-1, -1, -1, 1, 1]
 
+    def test_tie_with_a_high_power_is_fast(self, best_of_three):
+        # the exponent vector of tau needs each power of a factor divided
+        # out at once, not one gcd split per power
+        b = F(100001, 100000)
+        tau = b**3000
+        seconds, got = best_of_three(lambda: PowerSign({"a": b}, tau).sign({"a": 3000}))
+        assert got == 0
+        assert seconds < 1
+
     def test_counts_above_binary64_integers(self):
         n = 2**60 + 1
         test = PowerSign({"a": F(3, 2), "b": F(2, 3)}, F(3, 2))
