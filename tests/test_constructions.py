@@ -499,7 +499,6 @@ class TestOneStateDecomposition:
             for w in words:
                 assert desc_member(d, w) == one_state_accepts(spec, w), (spec, w)
 
-
     @pytest.mark.parametrize(
         "cut, mode, counts, expected",
         [
