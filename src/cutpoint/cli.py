@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 validation failure (including failed verify runs),
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -281,7 +283,9 @@ def _cmd_verify(args) -> CommandOutcome:
     return CommandOutcome(0 if all_ok else 1, "\n".join(lines), data)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cutpoint",
         description="Simulate and classify cutpoint languages of generalized, "
@@ -364,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: numeric options and the rule each must meet (counts cannot be infinite)
+NUMBER_RULES = {"length": "nonnegative", "max": "nonnegative", "epsilon": "finite and nonnegative"}
+
+
 def run(argv) -> CommandOutcome:
     """Parse and execute; never raises on bad input, returning the exit code
     and report instead (the surface the tests drive)."""
@@ -373,9 +381,10 @@ def run(argv) -> CommandOutcome:
     except SystemExit as e:
         return CommandOutcome(2 if e.code else 0, "")
     try:
-        for flag in ("length", "max"):
-            if (getattr(args, flag, None) or 0) < 0:
-                raise documents.DocumentError(f"--{flag} must be nonnegative")
+        for flag, rule in NUMBER_RULES.items():
+            x = getattr(args, flag, None)
+            if x is not None and not 0 <= x < math.inf:
+                raise documents.DocumentError(f"--{flag} must be {rule}")
         outcome = args.handler(args)
     except documents.ValidationFailure as e:
         lines = ["validation failed:"] + [f"  - {v}" for v in e.violations]

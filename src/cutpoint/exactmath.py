@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 KIND_RATIONAL = "rational"
@@ -264,9 +265,7 @@ class Matrix:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
         join_kinds(self.kind, other.kind)
         bt = list(zip(*other.data))
-        return Matrix(
-            [[_dot(row, col) for col in bt] for row in self.data]
-        )
+        return Matrix([[reduce(add, map(mul, row, col)) for col in bt] for row in self.data])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
@@ -312,7 +311,7 @@ class Matrix:
     def trace(self) -> Scalar:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return _ksum(self.data[i][i] for i in range(self.rows))
+        return reduce(add, (self.data[i][i] for i in range(self.rows)))
 
     def to_float(self) -> "Matrix":
         """Explicit exact-to-binary64 coercion (identity on approximate matrices)."""
@@ -334,21 +333,6 @@ def one_zero(kind: str):
     if kind == KIND_COMPLEX_FLOAT:
         return complex(1.0), complex(0.0)
     raise ValueError(f"unknown scalar kind {kind}")
-
-
-def _dot(u, v):
-    it = iter(a * b for a, b in zip(u, v))
-    total = next(it)
-    for x in it:
-        total = total + x
-    return total
-
-
-def _ksum(values):
-    total = None
-    for x in values:
-        total = x if total is None else total + x
-    return total
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:
@@ -438,176 +422,170 @@ def validate_matrix(kind: str, m, tol=0) -> list[str]:
     """Check a structural property and return human-readable violations.
 
     ``kind`` is one of ``stochastic`` (left stochastic), ``unitary``,
-    ``projector`` (0/1 diagonal), ``density``, or ``kraus-set`` (``m`` is then
-    a list of matrices).  ``tol = 0`` demands exact scalars.
+    ``density``, or ``kraus-set`` (``m`` is then a list of matrices).
+    ``tol = 0`` demands exact scalars.  Every check is exact, with binary64
+    entries at their dyadic values and ``tol`` as ``Fraction(tol)``: an entry
+    passes within ``tol`` of its target, and a density matrix rho when
+    rho + tol*I is positive semidefinite.
     """
-    if tol < 0:
-        raise ValueError("negative tolerance")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if kind == "kraus-set":
-        return _validate_kraus(m, tol)
-    if not isinstance(m, Matrix):
+        elements = list(m)
+        if not elements:
+            return ["empty operation-element list"]
+        if any(e.shape != elements[0].shape for e in elements):
+            return ["operation elements have mismatched shapes"]
+    elif isinstance(m, Matrix):
+        elements = [m]
+    else:
         raise TypeError("expected a Matrix")
-    if tol == 0 and not m.is_exact:
+    if tol == 0 and not all(e.is_exact for e in elements):
         raise ValueError("tol=0 requires exact scalars")
+    tol = Fraction(tol) if tol else 0  # an int 0 keeps exact checks on integers
+    if kind == "kraus-set":
+        return _gram_violations(elements, tol, "stacked columns not orthonormal: (E†E)[{i},{j}] = {x}")
+    if kind == "unitary":
+        if not m.is_square:
+            return [f"unitary matrix must be square, got {m.shape}"]
+        return _gram_violations(elements, tol, "(M†M)[{i},{j}] = {x}, expected {target}")
     if kind == "stochastic":
         return _validate_stochastic(m, tol)
-    if kind == "unitary":
-        return _validate_unitary(m, tol)
-    if kind == "projector":
-        return _validate_projector(m, tol)
     if kind == "density":
         return _validate_density(m, tol)
     raise ValueError(f"unknown validation kind {kind!r}")
 
 
-def _near(x, target, tol) -> bool:
-    if isinstance(x, (complex, GaussianRational)):
-        dre = scalar_real(x) - scalar_real(target)
-        dim = scalar_imag(x) - scalar_imag(target)
-        return dre * dre + dim * dim <= tol * tol if tol else (dre == 0 and dim == 0)
-    return abs(x - target) <= tol
+def _near(re, im, tol) -> bool:
+    """|re + i im| <= tol for exact values; tol 0 compares with ==."""
+    if not tol:
+        return re == 0 and im == 0
+    return re * re + im * im <= tol * tol
+
+
+def _exact(m: Matrix) -> Matrix:
+    """m with each binary64 entry replaced by its exact dyadic value."""
+    if m.is_exact:
+        return m
+    if m.kind == KIND_COMPLEX_FLOAT:
+        return Matrix([[GaussianRational(x.real, x.imag) for x in r] for r in m.data])
+    return Matrix([[Fraction(x) for x in r] for r in m.data])
+
+
+def _shown(x, kind: str):
+    """An exact value as a matrix of ``kind`` reports it."""
+    return x if is_exact_kind(kind) else scalar_to_float(x)
 
 
 def _validate_stochastic(m: Matrix, tol) -> list[str]:
-    issues = []
     if not m.is_square:
         return [f"stochastic matrix must be square, got {m.shape}"]
     if m.kind not in (KIND_RATIONAL, KIND_FLOAT):
         return [f"stochastic matrix must have real entries, got kind {m.kind}"]
-    for i, r in enumerate(m.data):
-        for j, x in enumerate(r):
-            if x < -tol:
-                issues.append(f"negative entry {x} at ({i + 1},{j + 1})")
-    for j in range(m.cols):
-        s = _ksum(m.col_values(j))
-        if not _near(s, 1, tol):
-            issues.append(f"column {j + 1} sums to {s}, not 1")
+    (rows,), d = scaled([_exact(m)])
+    bound = tol * d
+    issues = [f"negative entry {m[i, j]} at ({i + 1},{j + 1})"
+              for i, r in enumerate(rows) for j, x in enumerate(r) if x < -bound]
+    for j, col in enumerate(zip(*rows)):
+        s = sum(col)
+        if not _near(s - d, 0, bound):
+            issues.append(f"column {j + 1} sums to {_shown(Fraction(s, d), m.kind)}, not 1")
     return issues
 
 
-def _validate_unitary(m: Matrix, tol) -> list[str]:
-    if not m.is_square:
-        return [f"unitary matrix must be square, got {m.shape}"]
-    return _gram_violations(m, tol, "(M†M)[{i},{j}] = {x}, expected {target}")
-
-
-def _gram_violations(m: Matrix, tol, message: str) -> list[str]:
-    """Entries of M†M off the identity, each formatted by ``message``."""
-    gram = m.conj_transpose() @ m
+def _gram_violations(elements: list, tol, message: str) -> list[str]:
+    """Entries of sum E†E off the identity, each formatted by ``message``.
+    On the integer rows X of the realified elements over one d,
+    X^T X = d^2 realify(sum E†E); its first n columns hold the real parts
+    over the imaginary parts.  Only a reported entry becomes exact scalars."""
+    kind = reduce(join_kinds, (e.kind for e in elements))
+    cmplx = kind in (KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT)
+    parts, d = scaled([_exact(e) for e in elements], realify=cmplx)
+    x = [r for rows in parts for r in rows]
+    n, d2 = elements[0].cols, d * d
+    bound = tol * d2
+    gram = int_matmul(list(zip(*x)), [r[:n] for r in x])
     issues = []
-    for i in range(gram.rows):
-        for j in range(gram.cols):
+    for i in range(n):
+        for j in range(n):
             target = 1 if i == j else 0
-            if not _near(gram[i, j], target, tol):
-                issues.append(message.format(i=i + 1, j=j + 1, x=gram[i, j], target=target))
-    return issues
-
-
-def _validate_projector(m: Matrix, tol) -> list[str]:
-    if not m.is_square:
-        return [f"projector must be square, got {m.shape}"]
-    issues = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            x = m[i, j]
-            if i != j:
-                if not _near(x, 0, tol):
-                    issues.append(f"off-diagonal entry {x} at ({i + 1},{j + 1})")
-            elif not (_near(x, 0, tol) or _near(x, 1, tol)):
-                issues.append(f"diagonal entry {x} at ({i + 1},{i + 1}) is not 0 or 1")
+            re, im = gram[i][j], gram[i + n][j] if cmplx else 0
+            if not _near(re - target * d2, im, bound):
+                value = Fraction(re, d2)
+                if cmplx:
+                    value = GaussianRational(value, Fraction(im, d2))
+                issues.append(message.format(i=i + 1, j=j + 1, x=_shown(value, kind), target=target))
     return issues
 
 
 def _validate_density(m: Matrix, tol) -> list[str]:
     if not m.is_square:
         return [f"density matrix must be square, got {m.shape}"]
-    issues = []
-    tr = m.trace()
-    if not _near(tr, 1, tol):
-        issues.append(f"trace is {tr}, not 1")
+    issues, exact = [], _exact(m)
+    tr = exact.trace()
+    if not _near(scalar_real(tr) - 1, scalar_imag(tr), tol):
+        issues.append(f"trace is {_shown(tr, m.kind)}, not 1")
+    a = exact.data
     for i in range(m.rows):
         for j in range(i, m.cols):
-            if not _near(m[i, j], scalar_conj(m[j, i]), tol):
+            z = a[i][j] - scalar_conj(a[j][i])
+            if not _near(scalar_real(z), scalar_imag(z), tol):
                 issues.append(f"not Hermitian at ({i + 1},{j + 1})")
-    issues.extend(_psd_violations(m, tol))
-    return issues
+    shifted = [[x + tol if i == j else x for j, x in enumerate(r)] for i, r in enumerate(a)]
+    return issues + _psd_violations(shifted, m.kind)
 
 
-def _psd_violations(m: Matrix, tol) -> list[str]:
+def _psd_violations(a: list, kind: str) -> list[str]:
     # A principal minor of a block-diagonal matrix is a product of minors of
-    # its blocks, so each block of linked rows is checked alone.  Every value
-    # reported is a principal minor below -tol; exact input that is not PSD
-    # always yields one.  In binary64 such a minor can hide behind kept pivots
-    # of another scale, so a second pass takes the smallest pivot first.
-    n, issues, block = m.rows, [], list(range(m.rows))
+    # its blocks, so each block of linked rows is checked alone, and every
+    # value reported is a negative principal minor of the whole matrix.
+    n, issues, block = len(a), [], list(range(len(a)))
     for i in range(n):
         for j in range(i):
-            if m[i, j] != 0 or m[j, i] != 0:
+            if a[i][j] != 0 or a[j][i] != 0:
                 block = [block[j] if b == block[i] else b for b in block]
     for b in dict.fromkeys(block):
-        rows = [i for i in range(n) if block[i] == b]
-        found = _elimination_minors(m, rows, tol, max)
-        if not found and tol:
-            found = _elimination_minors(m, rows, tol, min)
+        found = _elimination_minors(a, [i for i in range(n) if block[i] == b])
         issues += [
-            f"principal minor on rows {sorted(r + 1 for r in sub)} is {val}, negative"
+            f"principal minor on rows {sorted(r + 1 for r in sub)} is {_shown(val, kind)}, negative"
             for sub, val in found
         ]
     return issues
 
 
-def _elimination_minors(m: Matrix, rows, tol, pick) -> list:
-    # Symmetric elimination (LDLᴴ) with diagonal pivoting.  With S the rows
-    # eliminated so far and det = det(A[S]), the Schur complement entry d_j
-    # is det(A[S+j]) / det.  Each step sets aside the rows j with a minor
-    # det * d_j below -tol, then eliminates the pivot above tol chosen by
-    # `pick`.  An entry x of the zero block left makes the minor on S+{k,i},
-    # det * (d_k d_i - |x|^2), negative.  Returns (rows, minor) pairs.
-    a = [list(r) for r in m.data]
+def _elimination_minors(a: list, rows) -> list:
+    # Symmetric elimination (LDLᴴ) on the rows and columns `rows` of a, in
+    # place, largest pivot first.  With S the rows eliminated so far and
+    # det = det(A[S]) > 0, the Schur complement entry d_j is
+    # det(A[S+j]) / det.  Each step sets aside the rows j with d_j < 0,
+    # whose minor det * d_j is negative, then eliminates the largest pivot
+    # while it is positive.  An entry x of the zero block left makes the
+    # minor on S+{k,i}, -det * |x|^2, negative.  Returns (rows, minor) pairs.
     rest, kept, det, found = list(rows), [], 1, []
     while rest:
-        left = []
-        for j in rest:
-            val = det * scalar_real(a[j][j])
-            if val < -tol:
-                found.append((kept + [j], val))
-            else:
-                left.append(j)
-        rest = left
-        pivots = [j for j in rest if scalar_real(a[j][j]) > tol]
-        if not pivots:
+        found += [(kept + [j], det * scalar_real(a[j][j])) for j in rest if scalar_real(a[j][j]) < 0]
+        rest = [j for j in rest if scalar_real(a[j][j]) >= 0]
+        if not rest:
             break
-        k = pick(pivots, key=lambda j: scalar_real(a[j][j]))
+        k = max(rest, key=lambda j: scalar_real(a[j][j]))
         d = scalar_real(a[k][k])
+        if d == 0:
+            break
+        inv = Fraction(1) / d
         rest.remove(k)
         for i in rest:
-            f = a[i][k] * (Fraction(1) / d)
+            f = a[i][k] * inv
             if f != 0:
                 for j in rest:
                     a[i][j] = a[i][j] - f * a[k][j]
         kept.append(k)
         det *= d
     for x, k in enumerate(rest):
-        d = scalar_real(a[k][k])
         for i in rest[x + 1:]:
-            val = det * (d * scalar_real(a[i][i]) - scalar_abs_squared(a[i][k]))
-            if val < -tol:
-                found.append((kept + [k, i], val))
+            if a[i][k] != 0:
+                found.append((kept + [k, i], -det * scalar_abs_squared(a[i][k])))
                 break
     return found
-
-
-def _validate_kraus(elements, tol) -> list[str]:
-    elements = list(elements)
-    if not elements:
-        return ["empty operation-element list"]
-    shape = elements[0].shape
-    if any(e.shape != shape for e in elements):
-        return ["operation elements have mismatched shapes"]
-    if tol == 0 and any(not e.is_exact for e in elements):
-        raise ValueError("tol=0 requires exact scalars")
-    stacked = Matrix([list(r) for e in elements for r in e.data])
-    return _gram_violations(stacked, tol, "stacked columns not orthonormal: (E†E)[{i},{j}] = {x}")
 
 
 def complete_to_unitary(first_row) -> Matrix:

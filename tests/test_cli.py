@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutpoint.cli import emit_csv, run
+from cutpoint.cli import build_parser, emit_csv, run
 from cutpoint.constructions import PythTriple, rotation_automaton, three_state_pfa
 from cutpoint.documents import parse_automaton, serialize_automaton
 
@@ -443,6 +443,27 @@ class TestErrorPaths:
         out = run([a.format(rot=rotation_file) for a in argv])
         assert out.exit_code == 2
         assert out.report == f"error: {flag} must be nonnegative"
+
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    def test_bad_epsilon_exits_two(self, rotation_file, eps):
+        out = run(["enum", rotation_file, "--cutpoint", "1/2", "--max", "3",
+                   "--mode", "inclusive", "--epsilon", eps])
+        assert out.exit_code == 2
+        assert out.report == "error: --epsilon must be finite and nonnegative"
+
+    def test_cached_parser_gives_fresh_outcomes(self, rotation_file, capsys):
+        # a usage error, then a good command, with and without --json
+        good = ["eval", rotation_file, "--word", "aa"]
+        argvs = [["eval", "--bogus"], good, good + ["--json"], good]
+        cached = [run(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        capsys.readouterr()
+        assert cached == fresh
+        assert [o.exit_code for o in cached] == [2, 0, 0, 0]
+        assert cached[2].report.startswith("{") and not cached[3].report.startswith("{")
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(["frobnicate"]).exit_code == 2

@@ -179,10 +179,6 @@ class TestValidateMatrix:
     def test_kraus_incomplete(self):
         assert validate_matrix("kraus-set", [Matrix([[1, 0], [0, 0]])]) != []
 
-    def test_projector(self):
-        assert validate_matrix("projector", Matrix([[1, 0], [0, 0]])) == []
-        assert validate_matrix("projector", Matrix([[F(1, 2), 0], [0, 1]])) != []
-
     def test_density_accepts_pure_state(self):
         rho = Matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
         assert validate_matrix("density", rho) == []
@@ -211,6 +207,92 @@ class TestValidateMatrix:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             validate_matrix("hermitian", Matrix.identity(2))
+
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        r = Matrix([[0.6, -0.8], [0.8, 0.6]])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            validate_matrix("unitary", r, tol)
+
+
+#: moduli-1 phases, so that products of Givens rotations and phases stay unitary
+PHASES = [G(1), G(-1), G(0, 1), G(0, -1), G(F(3, 5), F(4, 5))]
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def exact_square(draw, gaussian, n):
+    """A unitary from Givens rotations by 3-4-5 angles (times phases when
+    ``gaussian``), with one entry perhaps moved; or a random matrix."""
+    entry = st.builds(G, small, small) if gaussian else small
+    if draw(st.booleans()):
+        return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    u = Matrix.identity(n)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        g = [list(r) for r in Matrix.identity(n).data]
+        g[p][p], g[p][q], g[q][p], g[q][q] = F(3, 5), F(-4, 5), F(4, 5), F(3, 5)
+        u = Matrix(g) @ u
+    if gaussian:
+        u = u @ Matrix([[draw(st.sampled_from(PHASES)) if i == j else G(0) for j in range(n)]
+                        for i in range(n)])
+    rows = [list(r) for r in u.data]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = rows[i][j] + draw(entry)
+    return Matrix(rows)
+
+
+def _gram_messages(elements, message):
+    """The Gram violations computed by Matrix arithmetic on the stacked elements."""
+    stacked = Matrix([list(r) for e in elements for r in e.data])
+    gram = stacked.conj_transpose() @ stacked
+    return [
+        message.format(i=i + 1, j=j + 1, x=gram[i, j], target=int(i == j))
+        for i in range(gram.rows)
+        for j in range(gram.cols)
+        if gram[i, j] != int(i == j)
+    ]
+
+
+class TestGramChecks:
+    @settings(max_examples=100)
+    @given(st.data(), st.booleans(), st.integers(1, 4))
+    def test_unitary_matches_matrix_arithmetic(self, data, gaussian, n):
+        m = data.draw(exact_square(gaussian, n))
+        expected = _gram_messages([m], "(M†M)[{i},{j}] = {x}, expected {target}")
+        assert validate_matrix("unitary", m) == expected
+
+    @settings(max_examples=100)
+    @given(st.data(), st.booleans(), st.integers(1, 4))
+    def test_kraus_set_matches_matrix_arithmetic(self, data, gaussian, n):
+        # weights 3/5 and 4/5 make c1 U1, c2 U2 a Kraus set when U1, U2 are unitary
+        us = [data.draw(exact_square(gaussian, n)) for _ in range(2)]
+        es = [u.scale(G(c) if gaussian else c) for u, c in zip(us, (F(3, 5), F(4, 5)))]
+        message = "stacked columns not orthonormal: (E†E)[{i},{j}] = {x}"
+        assert validate_matrix("kraus-set", es) == _gram_messages(es, message)
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(-1, 3, max_denominator=6), min_size=n, max_size=n),
+        min_size=n, max_size=n)), st.booleans())
+    def test_stochastic_matches_matrix_arithmetic(self, rows, normalise):
+        if normalise:  # rescale each nonzero column to sum 1; negative entries stay
+            sums = [sum(c) for c in zip(*rows)]
+            rows = [[x / s if s else x for x, s in zip(r, sums)] for r in rows]
+        m = Matrix(rows)
+        expected = [
+            f"negative entry {m[i, j]} at ({i + 1},{j + 1})"
+            for i in range(m.rows)
+            for j in range(m.cols)
+            if m[i, j] < 0
+        ]
+        ones = Matrix([[1] * m.rows])
+        for j, s in enumerate((ones @ m).data[0]):
+            if s != 1:
+                expected.append(f"column {j + 1} sums to {s}, not 1")
+        assert validate_matrix("stochastic", m) == expected
 
 
 class TestCompleteToUnitary:
@@ -344,8 +426,6 @@ def _negative_minors(m: Matrix, tol=0) -> dict:
 
 MINOR = re.compile(r"principal minor on rows \[(.*)\] is (.*), negative")
 
-small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
 
 @st.composite
 def hermitian(draw, gaussian):
@@ -362,6 +442,26 @@ def hermitian(draw, gaussian):
             rows[i][j] = draw(entry)
             rows[j][i] = rows[i][j].conjugate() if gaussian else rows[i][j]
     return Matrix(rows)
+
+
+@st.composite
+def binary64_hermitian(draw):
+    """Hermitian binary64 matrices, real or complex, n <= 5, entries in
+    [-1, 1]: random ones, or Gram matrices B^H B scaled into range, which are
+    PSD up to rounding and singular when B is short."""
+    n, cmplx = draw(st.integers(1, 5)), draw(st.booleans())
+    unit = st.floats(-1, 1)
+    entry, diag = (st.builds(complex, unit, unit), complex) if cmplx else (unit, float)
+    if draw(st.booleans()):
+        b = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
+        a = [[sum(r[i].conjugate() * r[j] for r in b) / (2 * n) for j in range(n)] for i in range(n)]
+    else:
+        a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return Matrix([
+        [a[i][j] if i < j else a[j][i].conjugate() if i > j else diag(a[i][i].real)
+         for j in range(n)]
+        for i in range(n)
+    ])
 
 
 class TestPsdElimination:
@@ -385,25 +485,31 @@ class TestPsdElimination:
         assert validate_matrix("density", m) == ["principal minor on rows [1, 2] is -2, negative"]
 
     @settings(max_examples=200)
-    @given(st.booleans().flatmap(hermitian))
-    def test_binary64_agrees_with_all_principal_minors(self, m):
-        # entries scaled into [-1, 1], as in a density matrix, so rounding
-        # moves a minor by far less than tol; the oracle takes the binary64
-        # entries at their exact values
-        top = max(max(abs(scalar_real(x)), abs(scalar_imag(x))) for r in m.data for x in r)
-        m = m.scale(1 / top) if top else m
-        m = m.to_float()
-        exact = Matrix(
-            [[G(x.real, x.imag) if isinstance(x, complex) else F(x) for x in r] for r in m.data]
-        )
-        oracle = _negative_minors(exact, 1e-12)
+    @given(binary64_hermitian())
+    def test_binary64_flags_exactly_the_negative_shifted_minors(self, m):
+        # the oracle takes the binary64 entries at their exact values and
+        # expands every principal minor of rho + tol*I
+        tol = F(1e-12)
+        exact = Matrix([
+            [(G(x.real, x.imag) if isinstance(x, complex) else F(x)) + (tol if i == j else 0)
+             for j, x in enumerate(r)]
+            for i, r in enumerate(m.data)
+        ])
+        oracle = _negative_minors(exact)
         reported = [MINOR.fullmatch(v) for v in validate_matrix("density", m, 1e-12)]
         reported = [r for r in reported if r]
+        assert (not reported) == (not oracle)
         for r in reported:
             rows = tuple(int(i) for i in r.group(1).split(", "))
-            assert float(r.group(2)) == pytest.approx(float(oracle[rows]), rel=1e-9, abs=1e-15)
-        if oracle and min(oracle.values()) < -1e-9:
-            assert reported
+            assert float(r.group(2)) == float(oracle[rows])
+
+    def test_binary64_boundary_is_rho_plus_tol_psd(self):
+        ok = Matrix([[1 + 1e-12, 0.0], [0.0, -1e-12]])
+        assert validate_matrix("density", ok, 1e-12) == []
+        bad = Matrix([[1 + 2e-12, 0.0], [0.0, -2e-12]])
+        assert validate_matrix("density", bad, 1e-12) == [
+            "principal minor on rows [2] is -1e-12, negative"
+        ]
 
     def test_float_tolerance(self):
         eps = 1e-14
@@ -411,7 +517,7 @@ class TestPsdElimination:
         assert validate_matrix("density", ok, 1e-12) == []
         bad = Matrix([[1.0, 0.0], [0.0, -1e-6]])
         issues = validate_matrix("density", bad, 1e-12)
-        assert "principal minor on rows [2] is -1e-06, negative" in issues
+        assert "principal minor on rows [2] is -9.99999e-07, negative" in issues
 
     @pytest.mark.parametrize("amp", [1e-12, 1e-10, 1e-7, 1e-6])
     def test_float_pure_state_with_small_amplitude(self, amp):
@@ -421,12 +527,12 @@ class TestPsdElimination:
         rho = Matrix([[x * y for y in psi] for x in psi])
         assert validate_matrix("density", rho, 1e-12) == []
 
-    def test_float_small_negative_minor_is_within_tol(self):
-        # the pivot after 1e-6 is -1e-7, but the only negative principal
-        # minor, on rows [1, 2], is -1e-13: above -tol, as all minors are
+    def test_float_small_negative_eigenvalue_is_below_tol(self):
+        # every principal minor of rho is above -tol (the only negative one,
+        # on rows [1, 2], is -1e-13), but the least eigenvalue is -8.4e-8
         x = math.sqrt(2e-13)
         rho = Matrix([[1e-6, x, 0.0], [x, 1e-7, 0.0], [0.0, 0.0, 1 - 1.1e-6]])
-        assert validate_matrix("density", rho, 1e-12) == []
+        assert [rows for rows, _ in self._minors(rho.data)] == ["1, 2"]
 
     @staticmethod
     def _minors(rho):
@@ -445,16 +551,15 @@ class TestPsdElimination:
         assert self._minors(rho) == [("4, 5, 6", pytest.approx(-8.84736e-10))]
 
     def test_float_negative_block_found_smallest_pivot_first(self):
-        # the 2x2 block on rows 7, 8 has minor -1e-8; a weak coupling links
-        # it to six pivots 1/6, behind which (largest pivot first) the minor
-        # shrinks to about -2e-13, so the second pass must find it
+        # the 2x2 block on rows 7, 8 has minor -1e-8, well below -tol, and a
+        # weak coupling links it to six pivots 1/6: rho + tol*I is not PSD
         x = math.sqrt(1e-6 + 1e-8)
         rho = [[(1 / 6 if i == j < 6 else 0.0) + 1e-7 / 8 for j in range(8)] for i in range(8)]
         rho[6][6] += 1e-3
         rho[7][7] += 1e-3
         rho[6][7] += x
         rho[7][6] += x
-        assert self._minors(rho) == [("7, 8", pytest.approx(-1e-8, rel=1e-4))]
+        assert self._minors(rho) != []
 
     def test_dense_exact_n16_is_fast(self, best_of_three):
         rng = random.Random(16)
@@ -462,6 +567,16 @@ class TestPsdElimination:
         gram = b.conj_transpose() @ b
         rho = gram.scale(1 / gram.trace())
         seconds, issues = best_of_three(lambda: validate_matrix("density", rho))
+        assert issues == []
+        assert seconds < 0.1
+
+    def test_dense_binary64_n16_is_fast(self, best_of_three):
+        rng = random.Random(16)
+        b = [[rng.uniform(-1, 1) for _ in range(16)] for _ in range(16)]
+        gram = [[sum(r[i] * r[j] for r in b) for j in range(16)] for i in range(16)]
+        tr = sum(gram[i][i] for i in range(16))
+        rho = Matrix([[gram[min(i, j)][max(i, j)] / tr for j in range(16)] for i in range(16)])
+        seconds, issues = best_of_three(lambda: validate_matrix("density", rho, 1e-12))
         assert issues == []
         assert seconds < 0.1
 
