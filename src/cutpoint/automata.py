@@ -43,12 +43,12 @@ from .exactmath import (
     VALIDATION_TOL,
     Matrix,
     ScalarMixError,
+    exact_matrix,
     int_matmul,
     is_exact_kind,
     join_kinds,
     one_zero,
     quotient,
-    scalar_abs_squared,
     scaled,
     unscaled,
     validate_matrix,
@@ -74,8 +74,11 @@ class Automaton:
     - ``_step(op, state)`` when a step is not ``v -> A v``
     - ``_step_kind``: the :func:`validate_matrix` kind every transition and
       marker must pass, or None when any matrix will do
+    - ``_initial_kind``: the :func:`validate_matrix` kind the initial object
+      must pass, or None
     - ``_density``: the object is an n x n matrix, not an n x 1 column
-    - ``_validate_ends(tol)``: violations of the initial object and final part
+    - ``_validate_final(tol)``: violations of the final part, when it has a
+      rule of its own
 
     Steps and readouts work on the scaled form: an object is a pair
     (integer rows, denominator) and a step is a pair (integer matrices,
@@ -83,6 +86,7 @@ class Automaton:
     """
 
     _step_kind = None
+    _initial_kind = None
     _density = False
 
     def __post_init__(self):
@@ -220,13 +224,13 @@ class Automaton:
     def validate(self, tol=None) -> list[str]:
         if tol is None:
             tol = 0 if self.is_exact else VALIDATION_TOL
-        issues = []
-        if self._step_kind is not None:
-            for label, op in self._steps():
-                issues.extend(f"{label}: {v}" for v in validate_matrix(self._step_kind, op, tol))
-        return issues + self._validate_ends(tol)
+        parts = [(label, self._step_kind, op) for label, op in self._steps()]
+        parts.append(("initial state", self._initial_kind, self.initial))
+        issues = [f"{label}: {v}" for label, kind, part in parts if kind is not None
+                  for v in validate_matrix(kind, part, tol)]
+        return issues + self._validate_final(tol)
 
-    def _validate_ends(self, tol) -> list[str]:
+    def _validate_final(self, tol) -> list[str]:
         return []
 
 
@@ -293,22 +297,16 @@ class Pfa(Gfa):
     vector, final vector with entries in [0, 1] (0/1 when there is no right
     marker)."""
 
-    _step_kind = "stochastic"
+    _step_kind = _initial_kind = "stochastic"
 
-    def _validate_ends(self, tol) -> list[str]:
-        issues = []
-        col = [self.initial[i, 0] for i in range(self.state_count)]
-        if any(x < -tol for x in col):
-            issues.append("initial vector has a negative entry")
-        if abs(sum(col) - 1) > tol:
-            issues.append(f"initial vector sums to {sum(col)}, not 1")
-        frow = [self.final[0, j] for j in range(self.state_count)]
+    def _validate_final(self, tol) -> list[str]:
+        tol, frow = Fraction(tol), exact_matrix(self.final).data[0]
         if self.right_marker is None:
             if any(abs(x) > tol and abs(x - 1) > tol for x in frow):
-                issues.append("final vector entries must be 0 or 1 without a right marker")
+                return ["final vector entries must be 0 or 1 without a right marker"]
         elif any(x < -tol or x > 1 + tol for x in frow):
-            issues.append("final vector entries must lie in [0, 1]")
-        return issues
+            return ["final vector entries must lie in [0, 1]"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -330,6 +328,7 @@ class Mcqfa(Automaton):
     right_marker: Optional[Matrix] = None
 
     _step_kind = "unitary"
+    _initial_kind = "kraus-set"  # a unit column v is a one-element set: v^dagger v = 1
     _check_final = _check_accept_states
 
     def _reader(self):
@@ -344,12 +343,6 @@ class Mcqfa(Automaton):
             return quotient(sum(v * v for v in parts), den * den)
 
         return read
-
-    def _validate_ends(self, tol) -> list[str]:
-        norm = sum(scalar_abs_squared(self.initial[i, 0]) for i in range(self.state_count))
-        if abs(norm - 1) > tol:
-            return [f"initial state has squared norm {norm}, not 1"]
-        return []
 
 
 @dataclass(frozen=True)
@@ -368,6 +361,7 @@ class Qfa(Automaton):
     right_marker: Optional[tuple] = None
 
     _step_kind = "kraus-set"
+    _initial_kind = "density"
     _density = True
     _check_final = _check_accept_states
 
@@ -398,9 +392,6 @@ class Qfa(Automaton):
         accept = sorted(self.accept_states)
         return lambda x, den: quotient(sum(x[q - 1][q - 1] for q in accept), den)
 
-    def _validate_ends(self, tol) -> list[str]:
-        return [f"initial state: {v}" for v in validate_matrix("density", self.initial, tol)]
-
 
 def basis_state(n: int, index: int, kind: str = KIND_RATIONAL) -> Matrix:
     """Column vector |q_index> (1-based) with entries of the given kind."""
@@ -412,8 +403,9 @@ def basis_state(n: int, index: int, kind: str = KIND_RATIONAL) -> Matrix:
 
 def basis_density(n: int, index: int, kind: str = KIND_RATIONAL) -> Matrix:
     """Density matrix |q_index><q_index| (1-based) with entries of the given kind."""
-    v = basis_state(n, index, kind)
-    return v @ v.transpose()
+    _, zero = one_zero(kind)
+    v = basis_state(n, index, kind).col_values(0)
+    return Matrix([[x if i == j else zero for j in range(n)] for i, x in enumerate(v)])
 
 
 def is_unary(aut: Automaton) -> bool:

@@ -30,13 +30,13 @@ class CommandOutcome:
     data: Optional[dict] = None
 
 
-def _parse_cutpoint(text) -> Fraction:
+def _parse_cutpoint(text, option="--cutpoint") -> Fraction:
     if text is None:
-        raise documents.DocumentError("missing --cutpoint")
+        raise documents.DocumentError(f"missing {option}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise documents.DocumentError(f"bad cutpoint {text!r}; use p/q, an integer, or a decimal")
+        raise documents.DocumentError(f"bad {option} {text!r}; use p/q, an integer, or a decimal")
 
 
 def _parse_triple(text: str) -> PythTriple:
@@ -134,7 +134,7 @@ def _cmd_construct(args) -> CommandOutcome:
     elif args.family == "px":
         if args.x is None:
             raise documents.DocumentError("construct px needs --x P/Q")
-        aut = constructions.three_state_pfa(_parse_cutpoint(args.x))
+        aut = constructions.three_state_pfa(_parse_cutpoint(args.x, "--x"))
     else:
         if args.n is None:
             raise documents.DocumentError("construct modn needs --n K")
@@ -211,8 +211,8 @@ def _cmd_chomsky(args) -> CommandOutcome:
 def _cmd_separate(args) -> CommandOutcome:
     aut_a = documents.parse_automaton(_load_file(args.file_a))
     aut_b = documents.parse_automaton(_load_file(args.file_b))
-    cp_a = CutpointSpec(_parse_cutpoint(args.cutpoint_a), args.mode_a)
-    cp_b = CutpointSpec(_parse_cutpoint(args.cutpoint_b), args.mode_b)
+    cp_a = CutpointSpec(_parse_cutpoint(args.cutpoint_a, "--cutpoint-a"), args.mode_a)
+    cp_b = CutpointSpec(_parse_cutpoint(args.cutpoint_b, "--cutpoint-b"), args.mode_b)
     w = analysis.separate(aut_a, cp_a, aut_b, cp_b, args.max)
     if w is None:
         return CommandOutcome(

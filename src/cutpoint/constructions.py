@@ -14,6 +14,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -253,7 +254,7 @@ def analyze_two_state_pfa(p: Pfa, cutpoint) -> TwoStatePfaAnalysis:
             "identity", x, y, None, None, None, None, langsem.ALL if b0 else langsem.EMPTY
         )
     if x == 1 and y == 1:
-        f1 = p.accepting_value(a @ v)
+        f1 = p.value(p.alphabet[:1])
         name = {
             (True, True): langsem.ALL,
             (True, False): langsem.EVEN,
@@ -323,11 +324,14 @@ def _last_flip(swing: Fraction, decay: Fraction, gap: Fraction, strict: bool) ->
     or -1 if there is none; swing, gap > 0 and 0 < decay < 1.
 
     The condition holds on an initial run of m.  Its end is near
-    log(gap / swing) / log(decay) in binary64; exact sign tests of
+    K = log(gap / swing) / log(decay); exact sign tests of
     decay^m - gap / swing bracket it, galloping outward from that estimate
-    and then bisecting.
+    and then bisecting.  Binary64 is off by about K 2^-52, so from K = 2^40
+    the estimate takes correctly rounded decimal logs, with digits for K and
+    for those log(decay) loses when decay is near 1.
     """
-    test = PowerSign({0: decay}, gap / swing)
+    tau = gap / swing
+    test = PowerSign({0: decay}, tau)
     least = 1 if strict else 0
 
     def holds(m: int) -> bool:
@@ -336,9 +340,19 @@ def _last_flip(swing: Fraction, decay: Fraction, gap: Fraction, strict: bool) ->
     if not holds(0):
         return -1
     try:
-        lo = max(0, int(test.log_tau[0] / test.logs[0][0]))
-    except (ZeroDivisionError, OverflowError):  # decay - 1 underflows binary64
-        lo = 0
+        k = test.log_tau[0] / test.logs[0][0]
+    except ZeroDivisionError:  # decay - 1 underflows binary64
+        k = math.inf
+    if k >= 2**40:
+        # tau <= 1 and |log decay| >= 1 - decay: p digits put K within
+        # 10^(2 - p) (1 + K) / |log decay|, and K below log(1 / tau) / (1 - decay)
+        near = 1 - decay
+        lost = near.denominator.bit_length() - near.numerator.bit_length() + 1
+        prec = 40 + 2 * lost // 3 + tau.denominator.bit_length().bit_length()
+        with localcontext(Context(prec=prec)):
+            ln_tau, ln_decay = ((Decimal(b.numerator) / b.denominator).ln() for b in (tau, decay))
+            k = ln_tau / ln_decay
+    lo = max(0, int(k))
     hi, step = lo + 1, 1
     while not holds(lo):
         lo, hi, step = max(0, lo - step), lo, 2 * step

@@ -72,7 +72,13 @@ def _parse_scalar(value, kind: str):
     if kind == KIND_FLOAT:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DocumentError(f"expected a number, got {value!r}")
-        return float(value)
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the binary64 range
+            x = math.inf
+        if not math.isfinite(x):
+            raise DocumentError(f"expected a finite binary64 number, got {value!r}")
+        return x
     if kind == KIND_COMPLEX_RATIONAL:
         if isinstance(value, (list, tuple)):
             if len(value) != 2:
@@ -141,12 +147,15 @@ def parse_automaton(document, validate: bool = True) -> Automaton:
         raise DocumentError(f"missing transitions for symbols {missing}")
 
     try:
-        if model == "qfa":
-            aut = _parse_qfa(doc, n, tuple(alphabet), kind)
-        elif model == "mcqfa":
-            aut = _parse_mcqfa(doc, n, tuple(alphabet), kind)
+        if model in ("gfa", "pfa"):
+            final = doc.get("final")
+            if not isinstance(final, list):
+                raise DocumentError("final must be a row vector for generalized models")
+            final = {"final": _parse_matrix([final], kind, "final")}
         else:
-            aut = _parse_generalized(doc, n, tuple(alphabet), kind, model)
+            final = {"accept_states": _accept_list(doc, n)}
+        cls = {"gfa": Gfa, "pfa": Pfa, "mcqfa": Mcqfa, "qfa": Qfa}[model]
+        aut = cls(**final, **_parse_parts(doc, n, tuple(alphabet), kind, model == "qfa"))
     except DocumentError:
         raise
     except ValueError as e:
@@ -191,65 +200,32 @@ def _letters(doc: dict, name: str, default=_REQUIRED) -> tuple:
     return tuple(value)
 
 
-def _parse_generalized(doc, n, alphabet, kind, model):
-    final = doc.get("final")
-    if not isinstance(final, list):
-        raise DocumentError("final must be a row vector for generalized models")
-    cls = Pfa if model == "pfa" else Gfa
-    return cls(
-        final=Matrix.row([_parse_scalar(x, kind) for x in final]),
-        **_parse_vector_parts(doc, n, alphabet, kind),
-    )
+def _parse_parts(doc, n, alphabet, kind, density: bool) -> dict:
+    """Constructor fields shared by every model: everything but the final
+    part.  A QFA (``density``) has operation-element lists for steps and a
+    density matrix for its initial object; the others a matrix and a vector."""
+    step = _parse_kraus if density else _parse_matrix
 
+    def marker(name):
+        obj = doc.get(name)
+        return None if obj is None else step(obj, kind, name.replace("_", " "))
 
-def _parse_mcqfa(doc, n, alphabet, kind):
-    return Mcqfa(accept_states=_accept_list(doc, n), **_parse_vector_parts(doc, n, alphabet, kind))
-
-
-def _parse_vector_parts(doc, n, alphabet, kind) -> dict:
-    """Constructor fields shared by the models that run a column vector:
-    everything but the final part."""
-    transitions = {
-        s: _parse_matrix(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
-    }
+    transitions = {s: step(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet}
     initial = doc.get("initial", 1)
     if isinstance(initial, int) and not isinstance(initial, bool):
         init = initial  # the constructor builds it once the shapes are checked
     elif isinstance(initial, list):
-        init = Matrix.column([_parse_scalar(x, kind) for x in initial])
+        init = _parse_matrix(initial if density else [[x] for x in initial], kind, "initial")
     else:
-        raise DocumentError("initial must be a basis index or a vector")
+        shape = "density matrix" if density else "vector"
+        raise DocumentError(f"initial must be a basis index or a {shape}")
     return dict(
         state_count=n,
         alphabet=alphabet,
         transitions=transitions,
         initial=init,
-        left_marker=_opt_matrix(doc, "left_marker", kind),
-        right_marker=_opt_matrix(doc, "right_marker", kind),
-    )
-
-
-def _parse_qfa(doc, n, alphabet, kind):
-    transitions = {
-        s: _parse_kraus(doc["transitions"][s], kind, f"transition {s!r}") for s in alphabet
-    }
-    initial = doc.get("initial", 1)
-    if isinstance(initial, int) and not isinstance(initial, bool):
-        init = initial  # the constructor builds it once the shapes are checked
-    elif isinstance(initial, list):
-        init = _parse_matrix(initial, kind, "initial density matrix")
-    else:
-        raise DocumentError("initial must be a basis index or a density matrix")
-    left = doc.get("left_marker")
-    right = doc.get("right_marker")
-    return Qfa(
-        state_count=n,
-        alphabet=alphabet,
-        transitions=transitions,
-        initial=init,
-        accept_states=_accept_list(doc, n),
-        left_marker=_parse_kraus(left, kind, "left marker") if left is not None else None,
-        right_marker=_parse_kraus(right, kind, "right marker") if right is not None else None,
+        left_marker=marker("left_marker"),
+        right_marker=marker("right_marker"),
     )
 
 
@@ -271,13 +247,6 @@ def _accept_list(doc, n) -> frozenset:
     if bad:
         raise DocumentError(f"accept states {bad} out of range 1..{n}")
     return frozenset(final)
-
-
-def _opt_matrix(doc, name, kind):
-    obj = doc.get(name)
-    if obj is None:
-        return None
-    return _parse_matrix(obj, kind, name.replace("_", " "))
 
 
 def serialize_automaton(aut: Automaton) -> dict:

@@ -10,6 +10,7 @@ sanctioned direction is the explicit ``Matrix.to_float()`` coercion.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -57,12 +58,6 @@ class GaussianRational:
         if other is NotImplemented:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = _as_gaussian(other)
@@ -275,20 +270,9 @@ class Matrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"dimension mismatch: {self.shape} - {other.shape}")
-        join_kinds(self.kind, other.kind)
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
     def scale(self, c: Scalar) -> "Matrix":
         join_kinds(self.kind, scalar_kind(c))
         return Matrix([[c * x for x in r] for r in self.data])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self.data])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -421,23 +405,24 @@ def int_matmul(a: list, b: list) -> list:
 def validate_matrix(kind: str, m, tol=0) -> list[str]:
     """Check a structural property and return human-readable violations.
 
-    ``kind`` is one of ``stochastic`` (left stochastic), ``unitary``,
-    ``density``, or ``kraus-set`` (``m`` is then a list of matrices).
-    ``tol = 0`` demands exact scalars.  Every check is exact, with binary64
-    entries at their dyadic values and ``tol`` as ``Fraction(tol)``: an entry
-    passes within ``tol`` of its target, and a density matrix rho when
-    rho + tol*I is positive semidefinite.
+    ``kind`` is one of ``stochastic`` (left stochastic; a column is a
+    one-column stochastic matrix), ``unitary``, ``density``, or ``kraus-set``
+    (a list of matrices; one matrix is a one-element set, so a unit column
+    passes).  ``tol = 0`` demands exact scalars.  Every check is exact, with
+    binary64 entries (which must be finite) at their dyadic values and
+    ``tol`` as ``Fraction(tol)``: an entry passes within ``tol`` of its
+    target, and a density matrix rho when rho + tol*I is positive semidefinite.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    if kind == "kraus-set":
+    if isinstance(m, Matrix):
+        elements = [m]
+    elif kind == "kraus-set":
         elements = list(m)
         if not elements:
             return ["empty operation-element list"]
         if any(e.shape != elements[0].shape for e in elements):
             return ["operation elements have mismatched shapes"]
-    elif isinstance(m, Matrix):
-        elements = [m]
     else:
         raise TypeError("expected a Matrix")
     if tol == 0 and not all(e.is_exact for e in elements):
@@ -463,10 +448,13 @@ def _near(re, im, tol) -> bool:
     return re * re + im * im <= tol * tol
 
 
-def _exact(m: Matrix) -> Matrix:
-    """m with each binary64 entry replaced by its exact dyadic value."""
+def exact_matrix(m: Matrix) -> Matrix:
+    """m with each binary64 entry replaced by its exact dyadic value; a
+    non-finite entry raises ``ValueError``."""
     if m.is_exact:
         return m
+    if not all(map(cmath.isfinite, m.flat())):
+        raise ValueError("matrix entries must be finite")
     if m.kind == KIND_COMPLEX_FLOAT:
         return Matrix([[GaussianRational(x.real, x.imag) for x in r] for r in m.data])
     return Matrix([[Fraction(x) for x in r] for r in m.data])
@@ -478,11 +466,9 @@ def _shown(x, kind: str):
 
 
 def _validate_stochastic(m: Matrix, tol) -> list[str]:
-    if not m.is_square:
-        return [f"stochastic matrix must be square, got {m.shape}"]
     if m.kind not in (KIND_RATIONAL, KIND_FLOAT):
         return [f"stochastic matrix must have real entries, got kind {m.kind}"]
-    (rows,), d = scaled([_exact(m)])
+    (rows,), d = scaled([exact_matrix(m)])
     bound = tol * d
     issues = [f"negative entry {m[i, j]} at ({i + 1},{j + 1})"
               for i, r in enumerate(rows) for j, x in enumerate(r) if x < -bound]
@@ -500,7 +486,7 @@ def _gram_violations(elements: list, tol, message: str) -> list[str]:
     over the imaginary parts.  Only a reported entry becomes exact scalars."""
     kind = reduce(join_kinds, (e.kind for e in elements))
     cmplx = kind in (KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT)
-    parts, d = scaled([_exact(e) for e in elements], realify=cmplx)
+    parts, d = scaled([exact_matrix(e) for e in elements], realify=cmplx)
     x = [r for rows in parts for r in rows]
     n, d2 = elements[0].cols, d * d
     bound = tol * d2
@@ -521,31 +507,33 @@ def _gram_violations(elements: list, tol, message: str) -> list[str]:
 def _validate_density(m: Matrix, tol) -> list[str]:
     if not m.is_square:
         return [f"density matrix must be square, got {m.shape}"]
-    issues, exact = [], _exact(m)
-    tr = exact.trace()
-    if not _near(scalar_real(tr) - 1, scalar_imag(tr), tol):
-        issues.append(f"trace is {_shown(tr, m.kind)}, not 1")
-    a = exact.data
-    for i in range(m.rows):
-        for j in range(i, m.cols):
-            z = a[i][j] - scalar_conj(a[j][i])
-            if not _near(scalar_real(z), scalar_imag(z), tol):
+    # integer real and imaginary parts of B = d (rho + tol I), tol's denominator in d
+    n, cmplx = m.rows, m.kind in (KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT)
+    (rows, ((t, *_), *_)), d = scaled([exact_matrix(m), Matrix([[tol]])], realify=cmplx)
+    re = [r[:n] for r in rows[:n]]
+    im = [r[:n] for r in rows[n:]] if cmplx else [[0] * n for _ in re]
+    issues, tr = [], [sum(a[i][i] for i in range(n)) for a in (re, im)]
+    if not _near(tr[0] - d, tr[1], t):
+        issues.append(f"trace is {_shown(exact_matrix(m).trace(), m.kind)}, not 1")
+    for i in range(n):
+        re[i][i] += t
+        for j in range(i, n):
+            if not _near(re[i][j] - re[j][i], im[i][j] + im[j][i], t):
                 issues.append(f"not Hermitian at ({i + 1},{j + 1})")
-    shifted = [[x + tol if i == j else x for j, x in enumerate(r)] for i, r in enumerate(a)]
-    return issues + _psd_violations(shifted, m.kind)
+    return issues + _psd_violations(re, im, d, m.kind)
 
 
-def _psd_violations(a: list, kind: str) -> list[str]:
+def _psd_violations(re: list, im: list, d: int, kind: str) -> list[str]:
     # A principal minor of a block-diagonal matrix is a product of minors of
     # its blocks, so each block of linked rows is checked alone, and every
     # value reported is a negative principal minor of the whole matrix.
-    n, issues, block = len(a), [], list(range(len(a)))
+    n, issues, block = len(re), [], list(range(len(re)))
     for i in range(n):
         for j in range(i):
-            if a[i][j] != 0 or a[j][i] != 0:
+            if re[i][j] or im[i][j] or re[j][i] or im[j][i]:
                 block = [block[j] if b == block[i] else b for b in block]
     for b in dict.fromkeys(block):
-        found = _elimination_minors(a, [i for i in range(n) if block[i] == b])
+        found = _elimination_minors(re, im, d, [i for i in range(n) if block[i] == b])
         issues += [
             f"principal minor on rows {sorted(r + 1 for r in sub)} is {_shown(val, kind)}, negative"
             for sub, val in found
@@ -553,37 +541,57 @@ def _psd_violations(a: list, kind: str) -> list[str]:
     return issues
 
 
-def _elimination_minors(a: list, rows) -> list:
-    # Symmetric elimination (LDLᴴ) on the rows and columns `rows` of a, in
-    # place, largest pivot first.  With S the rows eliminated so far and
-    # det = det(A[S]) > 0, the Schur complement entry d_j is
-    # det(A[S+j]) / det.  Each step sets aside the rows j with d_j < 0,
-    # whose minor det * d_j is negative, then eliminates the largest pivot
-    # while it is positive.  An entry x of the zero block left makes the
-    # minor on S+{k,i}, -det * |x|^2, negative.  Returns (rows, minor) pairs.
-    rest, kept, det, found = list(rows), [], 1, []
+def _elimination_minors(re: list, im: list, d: int, rows) -> list:
+    # Fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968) of
+    # the integer matrix B = re + i im = d (rho + tol I) on the rows and
+    # columns `rows`, in place, largest pivot first.  With S the rows
+    # eliminated so far and lam = det(B[S]) > 0, entry (i, j) holds
+    # det(B[S+i, S+j]) by Sylvester's identity, so each update divides
+    # exactly by the previous pivot, and a minor of B over d^size is one of
+    # rho + tol I.  Each step sets aside the rows j with det(B[S+j]) < 0,
+    # then eliminates the largest pivot while it is positive.  An entry x of
+    # the zero block left makes the minor on S+{k,i}, -|x|^2 / lam, negative.
+    # Returns (rows, minor) pairs.
+    #
+    # A pivot counts with its real part.  On a Hermitian B it is real;
+    # otherwise dropping Im moves B[k][k] by Im / lam, and B stays an integer
+    # matrix while lam divides Im.  Past that (only for a non-Hermitian
+    # complex B) each update divides by the gcd of its entries instead: entry
+    # (i, j) stays lam * d times the Schur complement entry, and a minor is
+    # rn / rd times what the Bareiss terms give.
+    rest, kept, lam, rn, rd, found, bareiss = list(rows), [], 1, 1, 1, [], True
     while rest:
-        found += [(kept + [j], det * scalar_real(a[j][j])) for j in rest if scalar_real(a[j][j]) < 0]
-        rest = [j for j in rest if scalar_real(a[j][j]) >= 0]
+        scale = rd * d ** (len(kept) + 1)
+        found += [(kept + [j], Fraction(rn * re[j][j], scale)) for j in rest if re[j][j] < 0]
+        rest = [j for j in rest if re[j][j] >= 0]
         if not rest:
             break
-        k = max(rest, key=lambda j: scalar_real(a[j][j]))
-        d = scalar_real(a[k][k])
-        if d == 0:
+        k = max(rest, key=lambda j: re[j][j])
+        q = re[k][k]
+        if q == 0:
             break
-        inv = Fraction(1) / d
+        bareiss = bareiss and im[k][k] % lam == 0
         rest.remove(k)
+        g, rk, ik = lam if bareiss else 1, re[k], im[k]
         for i in rest:
-            f = a[i][k] * inv
-            if f != 0:
-                for j in rest:
-                    a[i][j] = a[i][j] - f * a[k][j]
+            ar, ai, ri, ii = re[i][k], im[i][k], re[i], im[i]
+            for j in rest:
+                ri[j] = (q * ri[j] - ar * rk[j] + ai * ik[j]) // g
+                ii[j] = (q * ii[j] - ar * ik[j] - ai * rk[j]) // g
+        if not bareiss:
+            g = math.gcd(lam * q, *(a[i][j] for a in (re, im) for i in rest for j in rest))
+            for a in (re, im):
+                for i in rest:
+                    for j in rest:
+                        a[i][j] //= g
+            rn, rd = rn * g, rd * lam
         kept.append(k)
-        det *= d
+        lam = lam * q // g
     for x, k in enumerate(rest):
         for i in rest[x + 1:]:
-            if a[i][k] != 0:
-                found.append((kept + [k, i], -det * scalar_abs_squared(a[i][k])))
+            if re[i][k] or im[i][k]:
+                abs2 = re[i][k] ** 2 + im[i][k] ** 2
+                found.append((kept + [k, i], Fraction(-rn * abs2, rd * lam * d ** (len(kept) + 2))))
                 break
     return found
 

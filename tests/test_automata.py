@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from cutpoint.constructions import (
     three_state_pfa,
 )
 from cutpoint.exactmath import (
+    KIND_FLOAT,
     GaussianRational,
     Matrix,
     ScalarMixError,
@@ -369,6 +371,85 @@ class TestQfa:
     def test_basis_index_initial_state(self):
         aut = reset_qfa()
         assert aut.initial == basis_density(2, 2)
+
+
+#: the default tolerance of binary64 machines
+TOL = 1e-12
+
+
+@st.composite
+def near_unit_vector(draw, squared):
+    """Binary64 entries whose sum (``squared``: sum of squares) is 1, or
+    within 0.1% of tol from 1 +- tol, up to rounding and a move of one entry
+    by a few ulps; PFA entries may dip just below -tol."""
+    n = draw(st.integers(1, 9))
+    low = -1.0 if squared else -2 * TOL
+    # a first entry of at least 1/2 keeps the total away from 0
+    rest = st.lists(st.floats(low, 1), min_size=n - 1, max_size=n - 1)
+    xs = [draw(st.floats(0.5, 1))] + draw(rest)
+    total = sum(x * x for x in xs) if squared else sum(xs)
+    target = 1 + draw(st.sampled_from([-1, 0, 1])) * TOL * draw(st.floats(0.999, 1.001))
+    scale = math.sqrt(target / total) if squared else target / total
+    xs = [x * scale for x in xs]
+    i, steps = draw(st.integers(0, n - 1)), draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        xs[i] = math.nextafter(xs[i], math.copysign(math.inf, steps))
+    return xs
+
+
+def _initial_issues(aut):
+    return [v for v in validate(aut) if v.startswith("initial state: ")]
+
+
+class TestBinary64InitialObjects:
+    def test_pfa_initial_vector_within_tol_passes(self):
+        # the exact sum is 1 + 9.9995e-13, within tol; summed in binary64 it
+        # reads 1 + 1.00009e-12
+        col = [0.029796603059272366, 0.19158913152172216, 0.1392337970447834,
+               0.051473941392497446, 0.09193680301699403, 0.10242113974360254,
+               0.13105488485682415, 0.14783218547545549, 0.11466151388984838]
+        aut = Pfa(9, ("a",), {"a": Matrix.identity(9, KIND_FLOAT)}, Matrix.column(col),
+                  Matrix.row([1.0] + [0.0] * 8))
+        assert validate(aut) == []
+
+    def test_mcqfa_initial_norm_beyond_tol_fails(self):
+        # the exact squared norm exceeds 1 + tol by 1.7e-18; summed in
+        # binary64 it reads 1 + 9.9987e-13
+        v = [0.13582251211915117, -0.5926985268025772, -0.27203764724792096,
+             -0.7117604604141233, 0.22283013036748114]
+        aut = Mcqfa(5, ("a",), {"a": Matrix.identity(5, KIND_FLOAT)}, Matrix.column(v),
+                    frozenset({1}))
+        assert validate(aut) == [
+            "initial state: stacked columns not orthonormal: (E†E)[1,1] = 1.000000000001"
+        ]
+
+    @settings(max_examples=300)
+    @given(near_unit_vector(squared=False))
+    def test_pfa_flags_exactly_the_exact_rule(self, col):
+        n, tol = len(col), F(TOL)
+        aut = Pfa(n, ("a",), {"a": Matrix.identity(n, KIND_FLOAT)}, Matrix.column(col),
+                  Matrix.row([1.0] + [0.0] * (n - 1)))
+        exact = [F(x) for x in col]
+        ok = all(x >= -tol for x in exact) and abs(sum(exact) - 1) <= tol
+        assert (not _initial_issues(aut)) == ok
+
+    @settings(max_examples=300)
+    @given(near_unit_vector(squared=True))
+    def test_mcqfa_flags_exactly_the_exact_rule(self, v):
+        n = len(v)
+        aut = Mcqfa(n, ("a",), {"a": Matrix.identity(n, KIND_FLOAT)}, Matrix.column(v),
+                    frozenset({1}))
+        ok = abs(sum(F(x) ** 2 for x in v) - 1) <= F(TOL)
+        assert (not _initial_issues(aut)) == ok
+
+    def test_exact_initial_objects_name_the_part(self):
+        pfa = Pfa(2, ("a",), {"a": Matrix.identity(2)}, Matrix.column([1, -1]), Matrix.row([1, 0]))
+        assert validate(pfa) == [
+            "initial state: negative entry -1 at (2,1)",
+            "initial state: column 1 sums to 0, not 1",
+        ]
+        mcqfa = Mcqfa(2, ("a",), {"a": Matrix.identity(2)}, Matrix.column([1, 1]), frozenset({1}))
+        assert validate(mcqfa) == ["initial state: stacked columns not orthonormal: (E†E)[1,1] = 2"]
 
 
 class TestConstructionHelpers:

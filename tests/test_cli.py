@@ -125,6 +125,11 @@ class TestConstruct:
     def test_missing_parameter(self):
         assert run(["construct", "px"]).exit_code == 2
 
+    def test_bad_parameter_names_its_option(self):
+        out = run(["construct", "px", "--x", "abc"])
+        assert out.exit_code == 2
+        assert out.report == "error: bad --x 'abc'; use p/q, an integer, or a decimal"
+
 
 class TestTransform:
     def test_exclusive_to_zero(self, mcqfa_file):
@@ -504,6 +509,23 @@ class TestErrorPaths:
         assert seconds < 0.1
         assert out.exit_code == 2
         assert "transition matrices must be" in out.report
+
+    @pytest.mark.parametrize("model, scalar, step", [
+        ("pfa", "float", "[[Infinity, 0.0], [0.0, 1.0]]"),
+        ("pfa", "float", "[[1%s, 0.0], [0.0, 1.0]]" % ("0" * 400)),
+        ("gfa", "float", "[[NaN, 0.0], [0.0, 1.0]]"),
+        ("gfa", "float", "[[1e400, 0.0], [0.0, 1.0]]"),
+        ("qfa", "complex-float", "[[[[1.0, Infinity], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]"),
+    ], ids=["inf", "int401", "nan", "1e400", "complex-inf"])
+    def test_non_finite_binary64_entry_exits_two(self, tmp_path, model, scalar, step):
+        doc = {"model": model, "states": 2, "alphabet": ["a"], "scalar": scalar,
+               "transitions": {"a": "STEP"}, "initial": 1,
+               "final": [1] if model == "qfa" else [1.0, 0.0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"STEP"', step))
+        out = run(["eval", str(path), "--word", "a"])
+        assert out.exit_code == 2
+        assert "finite binary64 number" in out.report
 
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"

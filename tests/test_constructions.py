@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,9 @@ from cutpoint.constructions import (
     three_state_closed_form,
     three_state_params,
     three_state_pfa,
+    _last_flip,
 )
-from cutpoint.exactmath import Matrix, mat_pow
+from cutpoint.exactmath import Matrix, PowerSign, mat_pow
 from cutpoint.langsem import (
     IndicatorDescriptor,
     IndicatorOnly,
@@ -285,6 +287,19 @@ class TestTwoStateClassifier:
         seconds, name = best_of_three(lambda: classify_two_state_pfa(p, lam))
         assert name == langsem.co_less(last)
         assert seconds < 0.1
+
+    @pytest.mark.parametrize("e, limit", [(300, 0.1), (400, 1.0)])
+    def test_threshold_near_decay_one_is_fast(self, best_of_three, e, limit):
+        # decay 1 - 10^-e puts K near 0.69 * 10^e, far past binary64's reach
+        decay, gap = 1 - F(1, 10**e), F(1, 2)
+        seconds, k = best_of_three(lambda: _last_flip(F(1), decay, gap, False))
+        assert seconds < limit
+        test = PowerSign({0: decay}, gap)
+        assert test.sign({0: k}) >= 0 > test.sign({0: k + 1})
+        with localcontext(Context(prec=2 * e + 40)):
+            ratio = Decimal(gap.numerator).ln() - Decimal(gap.denominator).ln()
+            ratio /= (Decimal(decay.numerator) / decay.denominator).ln()
+        assert k == int(ratio)
 
     def test_swap_machine_gives_co_even(self):
         p = two_state(1, 1, (1, 0), (0, 1))

@@ -228,6 +228,34 @@ class TestAutomatonParsing:
         with pytest.raises(DocumentError):
             parse_automaton(doc)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "int401"])
+    @pytest.mark.parametrize("model, scalar, part", [
+        ("pfa", "float", "transition"),
+        ("pfa", "float", "initial"),
+        ("pfa", "float", "final"),
+        ("mcqfa", "complex-float", "transition"),
+        ("mcqfa", "complex-float", "initial"),
+        ("qfa", "complex-float", "transition"),
+        ("qfa", "complex-float", "initial"),
+    ])
+    def test_non_finite_binary64_entries_rejected(self, bad, model, scalar, part):
+        # the bad number goes in as JSON text, as the imaginary part of a
+        # complex entry
+        slot, eye = "SLOT", [[1.0, 0.0], [0.0, 1.0]]
+        step = [[1.0, 0.0], [0.0, slot]] if part == "transition" else eye
+        doc = {"model": model, "states": 2, "alphabet": ["a"], "scalar": scalar,
+               "transitions": {"a": [step] if model == "qfa" else step},
+               "initial": [[1.0, 0.0], [0.0, 0.0]] if model == "qfa" else [1.0, 0.0],
+               "final": [1.0, 0.0] if model == "pfa" else [1]}
+        if part == "initial" and model == "qfa":
+            doc["initial"][1][1] = slot
+        elif part in ("initial", "final"):
+            doc[part][1] = slot
+        entry = f"[0.0, {bad}]" if scalar == "complex-float" else bad
+        with pytest.raises(DocumentError, match="finite binary64 number"):
+            parse_automaton(json.dumps(doc).replace(f'"{slot}"', entry))
+
     def test_complex_scalars_rejected_for_generalized_models(self):
         doc = rotation_doc()
         doc["scalar"] = "complex-rational"

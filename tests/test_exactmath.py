@@ -18,6 +18,7 @@ from cutpoint.exactmath import (
     logs_rationally_equivalent,
     logs_same_sign,
     mat_pow,
+    scalar_abs_squared,
     scalar_kind,
     scalar_imag,
     scalar_real,
@@ -213,6 +214,29 @@ class TestValidateMatrix:
         r = Matrix([[0.6, -0.8], [0.8, 0.6]])
         with pytest.raises(ValueError, match="finite and nonnegative"):
             validate_matrix("unitary", r, tol)
+
+    @pytest.mark.parametrize("kind, bad", [
+        (kind, bad)
+        for kind in ("stochastic", "unitary", "density", "kraus-set")
+        for bad in (math.nan, math.inf, -math.inf, complex(1, math.inf))
+        if not (kind == "stochastic" and isinstance(bad, complex))  # no complex stochastic
+    ])
+    def test_non_finite_entry_rejected(self, kind, bad):
+        m = Matrix([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            validate_matrix(kind, m, 1e-12)
+
+    def test_stochastic_column(self):
+        assert validate_matrix("stochastic", Matrix.column([F(1, 3), F(2, 3)])) == []
+        assert validate_matrix("stochastic", Matrix.column([F(1, 2), F(1, 3)])) == [
+            "column 1 sums to 5/6, not 1"
+        ]
+
+    def test_one_matrix_is_a_one_element_kraus_set(self):
+        assert validate_matrix("kraus-set", Matrix.column([F(3, 5), F(4, 5)])) == []
+        assert validate_matrix("kraus-set", Matrix.column([1, 1])) == [
+            "stacked columns not orthonormal: (E†E)[1,1] = 2"
+        ]
 
 
 #: moduli-1 phases, so that products of Givens rotations and phases stay unitary
@@ -424,6 +448,40 @@ def _negative_minors(m: Matrix, tol=0) -> dict:
     return out
 
 
+def _fraction_elimination(m: Matrix) -> list:
+    """Reference: symmetric elimination of m on exact entries, each block
+    of linked rows alone, largest real pivot first, dividing by the pivot's
+    real part; (rows, value) for each negative value found."""
+    n, a = m.rows, [list(r) for r in m.data]
+    block = list(range(n))
+    for i in range(n):
+        for j in range(i):
+            if a[i][j] != 0 or a[j][i] != 0:
+                block = [block[j] if b == block[i] else b for b in block]
+    found = []
+    for b in dict.fromkeys(block):
+        rest, kept, det = [i for i in range(n) if block[i] == b], [], F(1)
+        while rest:
+            found += [(kept + [j], det * scalar_real(a[j][j])) for j in rest if scalar_real(a[j][j]) < 0]
+            rest = [j for j in rest if scalar_real(a[j][j]) >= 0]
+            if not rest or max(scalar_real(a[j][j]) for j in rest) == 0:
+                break
+            k = max(rest, key=lambda j: scalar_real(a[j][j]))
+            pivot = scalar_real(a[k][k])
+            rest.remove(k)
+            for i in rest:
+                f = a[i][k] * (1 / pivot)
+                for j in rest:
+                    a[i][j] = a[i][j] - f * a[k][j]
+            kept.append(k)
+            det *= pivot
+        for x, k in enumerate(rest):
+            i = next((i for i in rest[x + 1:] if a[i][k] != 0), None)
+            if i is not None:
+                found.append((kept + [k, i], -det * scalar_abs_squared(a[i][k])))
+    return [(sorted(r + 1 for r in sub), val) for sub, val in found]
+
+
 MINOR = re.compile(r"principal minor on rows \[(.*)\] is (.*), negative")
 
 
@@ -441,6 +499,20 @@ def hermitian(draw, gaussian):
         for j in range(i + 1, n):
             rows[i][j] = draw(entry)
             rows[j][i] = rows[i][j].conjugate() if gaussian else rows[i][j]
+    return Matrix(rows)
+
+
+@st.composite
+def non_hermitian(draw):
+    """B^H B, which takes several pivots to eliminate and is singular when
+    B is short, with a few entries moved off Hermitian symmetry."""
+    n = draw(st.integers(1, 5))
+    entry = st.builds(G, small, small)
+    b = Matrix([[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)))])
+    rows = [list(r) for r in (b.conj_transpose() @ b).data]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = rows[i][j] + draw(entry)
     return Matrix(rows)
 
 
@@ -570,15 +642,34 @@ class TestPsdElimination:
         assert issues == []
         assert seconds < 0.1
 
+    @staticmethod
+    def _binary64_mixture(n):
+        rng = random.Random(n)
+        b = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+        gram = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        tr = sum(gram[i][i] for i in range(n))
+        return Matrix([[gram[min(i, j)][max(i, j)] / tr for j in range(n)] for i in range(n)])
+
     def test_dense_binary64_n16_is_fast(self, best_of_three):
-        rng = random.Random(16)
-        b = [[rng.uniform(-1, 1) for _ in range(16)] for _ in range(16)]
-        gram = [[sum(r[i] * r[j] for r in b) for j in range(16)] for i in range(16)]
-        tr = sum(gram[i][i] for i in range(16))
-        rho = Matrix([[gram[min(i, j)][max(i, j)] / tr for j in range(16)] for i in range(16)])
+        rho = self._binary64_mixture(16)
         seconds, issues = best_of_three(lambda: validate_matrix("density", rho, 1e-12))
         assert issues == []
         assert seconds < 0.1
+
+    def test_dense_binary64_n32_is_fast(self, best_of_three):
+        rho = self._binary64_mixture(32)
+        seconds, issues = best_of_three(lambda: validate_matrix("density", rho, 1e-12))
+        assert issues == []
+        assert seconds < 0.2
+
+    @settings(max_examples=100)
+    @given(non_hermitian())
+    def test_non_hermitian_matches_fraction_elimination(self, m):
+        # a pivot counts with its real part, so on a non-Hermitian complex
+        # matrix the reported values are those of the elimination on fractions
+        reported = [MINOR.fullmatch(v) for v in validate_matrix("density", m)]
+        got = [([int(i) for i in r.group(1).split(", ")], F(r.group(2))) for r in reported if r]
+        assert got == _fraction_elimination(m)
 
 
 class TestLogPredicates:
