@@ -339,11 +339,10 @@ def _last_flip(swing: Fraction, decay: Fraction, gap: Fraction, strict: bool) ->
 
     if not holds(0):
         return -1
-    try:
-        k = test.log_tau[0] / test.logs[0][0]
-    except ZeroDivisionError:  # decay - 1 underflows binary64
-        k = math.inf
-    if k >= 2**40:
+    (ln_tau, _), (ln_decay, _) = test.log_tau, test.logs[0]
+    if ln_tau > 2**40 * ln_decay:  # K below 2^40; both logs are <= 0
+        k = ln_tau / ln_decay
+    else:
         # tau <= 1 and |log decay| >= 1 - decay: p digits put K within
         # 10^(2 - p) (1 + K) / |log decay|, and K below log(1 / tau) / (1 - decay)
         near = 1 - decay

@@ -408,10 +408,11 @@ def validate_matrix(kind: str, m, tol=0) -> list[str]:
     ``kind`` is one of ``stochastic`` (left stochastic; a column is a
     one-column stochastic matrix), ``unitary``, ``density``, or ``kraus-set``
     (a list of matrices; one matrix is a one-element set, so a unit column
-    passes).  ``tol = 0`` demands exact scalars.  Every check is exact, with
-    binary64 entries (which must be finite) at their dyadic values and
-    ``tol`` as ``Fraction(tol)``: an entry passes within ``tol`` of its
-    target, and a density matrix rho when rho + tol*I is positive semidefinite.
+    passes and any other column reports its real squared norm).  ``tol = 0``
+    demands exact scalars.  Every check is exact, with binary64 entries
+    (which must be finite) at their dyadic values and ``tol`` as
+    ``Fraction(tol)``: an entry passes within ``tol`` of its target, and a
+    density matrix rho when rho + tol*I is positive semidefinite.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -429,6 +430,8 @@ def validate_matrix(kind: str, m, tol=0) -> list[str]:
         raise ValueError("tol=0 requires exact scalars")
     tol = Fraction(tol) if tol else 0  # an int 0 keeps exact checks on integers
     if kind == "kraus-set":
+        if elements[0].cols == 1 < elements[0].rows:  # columns: E†E is one squared norm
+            return _gram_violations(elements, tol, "squared norm {real}, not 1")
         return _gram_violations(elements, tol, "stacked columns not orthonormal: (E†E)[{i},{j}] = {x}")
     if kind == "unitary":
         if not m.is_square:
@@ -500,7 +503,8 @@ def _gram_violations(elements: list, tol, message: str) -> list[str]:
                 value = Fraction(re, d2)
                 if cmplx:
                     value = GaussianRational(value, Fraction(im, d2))
-                issues.append(message.format(i=i + 1, j=j + 1, x=_shown(value, kind), target=target))
+                issues.append(message.format(i=i + 1, j=j + 1, x=_shown(value, kind), target=target,
+                                             real=_shown(Fraction(re, d2), kind)))
     return issues
 
 

@@ -28,6 +28,7 @@ from cutpoint.constructions import (
     three_state_pfa,
 )
 from cutpoint.exactmath import (
+    KIND_COMPLEX_FLOAT,
     KIND_FLOAT,
     GaussianRational,
     Matrix,
@@ -419,9 +420,7 @@ class TestBinary64InitialObjects:
              -0.7117604604141233, 0.22283013036748114]
         aut = Mcqfa(5, ("a",), {"a": Matrix.identity(5, KIND_FLOAT)}, Matrix.column(v),
                     frozenset({1}))
-        assert validate(aut) == [
-            "initial state: stacked columns not orthonormal: (E†E)[1,1] = 1.000000000001"
-        ]
+        assert validate(aut) == ["initial state: squared norm 1.000000000001, not 1"]
 
     @settings(max_examples=300)
     @given(near_unit_vector(squared=False))
@@ -449,7 +448,10 @@ class TestBinary64InitialObjects:
             "initial state: column 1 sums to 0, not 1",
         ]
         mcqfa = Mcqfa(2, ("a",), {"a": Matrix.identity(2)}, Matrix.column([1, 1]), frozenset({1}))
-        assert validate(mcqfa) == ["initial state: stacked columns not orthonormal: (E†E)[1,1] = 2"]
+        assert validate(mcqfa) == ["initial state: squared norm 2, not 1"]
+        mcqfa = Mcqfa(2, ("a",), {"a": Matrix.identity(2, KIND_COMPLEX_FLOAT)},
+                      Matrix.column([0.5, 0.5j]), frozenset({1}))
+        assert validate(mcqfa) == ["initial state: squared norm 0.5, not 1"]
 
 
 class TestConstructionHelpers:

@@ -234,8 +234,13 @@ class TestValidateMatrix:
 
     def test_one_matrix_is_a_one_element_kraus_set(self):
         assert validate_matrix("kraus-set", Matrix.column([F(3, 5), F(4, 5)])) == []
-        assert validate_matrix("kraus-set", Matrix.column([1, 1])) == [
-            "stacked columns not orthonormal: (E†E)[1,1] = 2"
+        assert validate_matrix("kraus-set", Matrix.column([1, 1])) == ["squared norm 2, not 1"]
+        # the squared norm is real, so a complex column reports a real value
+        assert validate_matrix("kraus-set", Matrix.column([G(1), G(0, 1)])) == [
+            "squared norm 2, not 1"
+        ]
+        assert validate_matrix("kraus-set", Matrix.column([1.0, 1j]), 1e-12) == [
+            "squared norm 2.0, not 1"
         ]
 
 
