@@ -33,10 +33,7 @@ class CommandOutcome:
 def _parse_cutpoint(text, option="--cutpoint") -> Fraction:
     if text is None:
         raise documents.DocumentError(f"missing {option}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise documents.DocumentError(f"bad {option} {text!r}; use p/q, an integer, or a decimal")
+    return documents.parse_rational(text, option)
 
 
 def _parse_triple(text: str) -> PythTriple:
@@ -374,7 +371,20 @@ NUMBER_RULES = {"length": "nonnegative", "max": "nonnegative", "epsilon": "finit
 
 def run(argv) -> CommandOutcome:
     """Parse and execute; never raises on bad input, returning the exit code
-    and report instead (the surface the tests drive)."""
+    and report instead (the surface the tests drive).  Exact values have no
+    size limit, so the interpreter's limit on the digits of an int/str
+    conversion is lifted for the call and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # builds before 3.10.7 have no limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> CommandOutcome:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

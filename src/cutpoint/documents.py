@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .automata import Automaton, Gfa, Mcqfa, Pfa, Qfa
@@ -52,13 +53,20 @@ MODELS = ("gfa", "pfa", "mcqfa", "qfa")
 SCALARS = (KIND_RATIONAL, KIND_FLOAT, KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT)
 
 
-def parse_rational(value) -> Fraction:
+# an exponent is refused: 1e-999999999 would need a 10^9-digit power of ten
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
+def parse_rational(value, what="rational") -> Fraction:
+    """An exact rational from an integer, or from text of any length that is
+    p/q (q > 0), an integer or a plain decimal; the one parser for the exact
+    numbers of documents and CLI options.  ``what`` names the value in the
+    error."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DocumentError(f"expected an exact rational ('p/q' or integer), got {value!r}")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as e:
-        raise DocumentError(f"bad rational {value!r}: {e}") from None
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise DocumentError(f"bad {what} {value!r}; use p/q, an integer, or a decimal")
+    return Fraction(value)
 
 
 def format_rational(value: Fraction):

@@ -412,7 +412,7 @@ def validate_matrix(kind: str, m, tol=0) -> list[str]:
     demands exact scalars.  Every check is exact, with binary64 entries
     (which must be finite) at their dyadic values and ``tol`` as
     ``Fraction(tol)``: an entry passes within ``tol`` of its target, and a
-    density matrix rho when rho + tol*I is positive semidefinite.
+    density matrix rho when (rho + rho^H)/2 + tol*I is positive semidefinite.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -524,17 +524,22 @@ def _validate_density(m: Matrix, tol) -> list[str]:
         for j in range(i, n):
             if not _near(re[i][j] - re[j][i], im[i][j] + im[j][i], t):
                 issues.append(f"not Hermitian at ({i + 1},{j + 1})")
-    return issues + _psd_violations(re, im, d, m.kind)
+    # B + B^H = 2d((rho + rho^H)/2 + tol I) is PSD iff all Re(x^H rho x) >= -tol |x|^2;
+    # for a Hermitian rho it is 2B, whose minors over (2d)^k are B's over d^k
+    herm_re = [[x + y for x, y in zip(r, c)] for r, c in zip(re, zip(*re))]
+    herm_im = [[x - y for x, y in zip(r, c)] for r, c in zip(im, zip(*im))]
+    return issues + _psd_violations(herm_re, herm_im, 2 * d, m.kind)
 
 
 def _psd_violations(re: list, im: list, d: int, kind: str) -> list[str]:
     # A principal minor of a block-diagonal matrix is a product of minors of
     # its blocks, so each block of linked rows is checked alone, and every
-    # value reported is a negative principal minor of the whole matrix.
+    # value reported is a negative principal minor of the whole matrix.  The
+    # matrix is Hermitian, so one triangle tells which rows are linked.
     n, issues, block = len(re), [], list(range(len(re)))
     for i in range(n):
         for j in range(i):
-            if re[i][j] or im[i][j] or re[j][i] or im[j][i]:
+            if re[i][j] or im[i][j]:
                 block = [block[j] if b == block[i] else b for b in block]
     for b in dict.fromkeys(block):
         found = _elimination_minors(re, im, d, [i for i in range(n) if block[i] == b])
@@ -547,26 +552,19 @@ def _psd_violations(re: list, im: list, d: int, kind: str) -> list[str]:
 
 def _elimination_minors(re: list, im: list, d: int, rows) -> list:
     # Fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968) of
-    # the integer matrix B = re + i im = d (rho + tol I) on the rows and
-    # columns `rows`, in place, largest pivot first.  With S the rows
-    # eliminated so far and lam = det(B[S]) > 0, entry (i, j) holds
-    # det(B[S+i, S+j]) by Sylvester's identity, so each update divides
-    # exactly by the previous pivot, and a minor of B over d^size is one of
-    # rho + tol I.  Each step sets aside the rows j with det(B[S+j]) < 0,
-    # then eliminates the largest pivot while it is positive.  An entry x of
-    # the zero block left makes the minor on S+{k,i}, -|x|^2 / lam, negative.
-    # Returns (rows, minor) pairs.
-    #
-    # A pivot counts with its real part.  On a Hermitian B it is real;
-    # otherwise dropping Im moves B[k][k] by Im / lam, and B stays an integer
-    # matrix while lam divides Im.  Past that (only for a non-Hermitian
-    # complex B) each update divides by the gcd of its entries instead: entry
-    # (i, j) stays lam * d times the Schur complement entry, and a minor is
-    # rn / rd times what the Bareiss terms give.
-    rest, kept, lam, rn, rd, found, bareiss = list(rows), [], 1, 1, 1, [], True
+    # the Hermitian integer matrix H = re + i im = d (rho + tol I) on the rows
+    # and columns `rows`, in place, largest pivot first.  With S the rows
+    # eliminated so far and lam = det(H[S]) > 0, entry (i, j) holds
+    # det(H[S+i, S+j]) by Sylvester's identity, so each update divides
+    # exactly by the previous pivot, the diagonal stays real, and a minor of
+    # H over d^size is one of rho + tol I.  Each step sets aside the rows j
+    # with det(H[S+j]) < 0, then eliminates the largest pivot while it is
+    # positive.  An entry x of the zero block left makes the minor on
+    # S+{k,i}, -|x|^2 / lam, negative.  Returns (rows, minor) pairs.
+    rest, kept, lam, found = list(rows), [], 1, []
     while rest:
-        scale = rd * d ** (len(kept) + 1)
-        found += [(kept + [j], Fraction(rn * re[j][j], scale)) for j in rest if re[j][j] < 0]
+        scale = d ** (len(kept) + 1)
+        found += [(kept + [j], Fraction(re[j][j], scale)) for j in rest if re[j][j] < 0]
         rest = [j for j in rest if re[j][j] >= 0]
         if not rest:
             break
@@ -574,28 +572,20 @@ def _elimination_minors(re: list, im: list, d: int, rows) -> list:
         q = re[k][k]
         if q == 0:
             break
-        bareiss = bareiss and im[k][k] % lam == 0
         rest.remove(k)
-        g, rk, ik = lam if bareiss else 1, re[k], im[k]
+        rk, ik = re[k], im[k]
         for i in rest:
             ar, ai, ri, ii = re[i][k], im[i][k], re[i], im[i]
             for j in rest:
-                ri[j] = (q * ri[j] - ar * rk[j] + ai * ik[j]) // g
-                ii[j] = (q * ii[j] - ar * ik[j] - ai * rk[j]) // g
-        if not bareiss:
-            g = math.gcd(lam * q, *(a[i][j] for a in (re, im) for i in rest for j in rest))
-            for a in (re, im):
-                for i in rest:
-                    for j in rest:
-                        a[i][j] //= g
-            rn, rd = rn * g, rd * lam
+                ri[j] = (q * ri[j] - ar * rk[j] + ai * ik[j]) // lam
+                ii[j] = (q * ii[j] - ar * ik[j] - ai * rk[j]) // lam
         kept.append(k)
-        lam = lam * q // g
+        lam = q
     for x, k in enumerate(rest):
         for i in rest[x + 1:]:
             if re[i][k] or im[i][k]:
                 abs2 = re[i][k] ** 2 + im[i][k] ** 2
-                found.append((kept + [k, i], Fraction(-rn * abs2, rd * lam * d ** (len(kept) + 2))))
+                found.append((kept + [k, i], Fraction(-abs2, lam * d ** (len(kept) + 2))))
                 break
     return found
 

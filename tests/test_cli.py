@@ -1,11 +1,13 @@
 import io
 import json
+import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from cutpoint.cli import build_parser, emit_csv, run
-from cutpoint.constructions import PythTriple, rotation_automaton, three_state_pfa
+from cutpoint.constructions import PythTriple, rotation_automaton, rotation_cosines, three_state_pfa
 from cutpoint.documents import parse_automaton, serialize_automaton
 
 F = Fraction
@@ -52,6 +54,43 @@ class TestEval:
 
     def test_missing_word_and_length(self, rotation_file):
         assert run(["eval", rotation_file]).exit_code == 2
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit of 4300 digits on int/str conversions,
+    in force for the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this build has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestLongExactValues:
+    """Exact values have no size limit: a command lifts the interpreter's
+    digit limit for its run and restores it afterwards."""
+
+    def test_long_rotation_value(self, rotation_file, digit_limit):
+        out = run(["eval", rotation_file, "--length", "7000"])  # denominator 5^7000
+        assert out.exit_code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        expected = next(islice(rotation_cosines(PythTriple(2, 1)), 7000, None))
+        assert F(out.data["value_exact"]) == expected
+
+    def test_px_with_4772_digit_denominator(self, tmp_path, digit_limit):
+        x = "1/1" + "0" * 4771
+        built = run(["construct", "px", "--x", x])
+        assert built.exit_code == 0
+        path = tmp_path / "px.json"
+        path.write_text(built.report)
+        out = run(["eval", str(path), "--word", "aaa"])
+        assert out.exit_code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert F(out.data["value_exact"]) == three_state_pfa(F(x)).value("aaa")
 
 
 class TestEnum:
@@ -526,6 +565,27 @@ class TestErrorPaths:
         out = run(["eval", str(path), "--word", "a"])
         assert out.exit_code == 2
         assert "finite binary64 number" in out.report
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "px", "--x", "1e-999999999"],
+        ["enum", "{rot}", "--cutpoint", "1e-999999999", "--max", "3"],
+        ["decompose-1gfa", "--numbers", "a=1E999999999", "--cutpoint", "1"],
+        ["eval", "{exp_doc}", "--word", "a"],
+        ["build-1gfa", "{exp_desc}"],
+    ], ids=["x", "cutpoint", "numbers", "document", "descriptor"])
+    def test_exponent_is_refused_at_once(self, tmp_path, rotation_file, argv, best_of_three):
+        # an exponent would need a power of ten with 10^9 digits
+        doc = serialize_automaton(three_state_pfa(F(1, 2)))
+        doc["final"][0] = "1e-999999999"
+        desc = _lambda_descriptor()
+        desc["solution"]["letters"]["a"] = "2e999999999"
+        paths = {"rot": rotation_file, "exp_doc": tmp_path / "doc.json", "exp_desc": tmp_path / "desc.json"}
+        paths["exp_doc"].write_text(json.dumps(doc))
+        paths["exp_desc"].write_text(json.dumps(desc))
+        seconds, out = best_of_three(lambda: run([a.format(**paths) for a in argv]))
+        assert seconds < 0.1
+        assert out.exit_code == 2
+        assert "use p/q, an integer, or a decimal" in out.report
 
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"

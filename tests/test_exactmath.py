@@ -18,7 +18,6 @@ from cutpoint.exactmath import (
     logs_rationally_equivalent,
     logs_same_sign,
     mat_pow,
-    scalar_abs_squared,
     scalar_kind,
     scalar_imag,
     scalar_real,
@@ -453,40 +452,6 @@ def _negative_minors(m: Matrix, tol=0) -> dict:
     return out
 
 
-def _fraction_elimination(m: Matrix) -> list:
-    """Reference: symmetric elimination of m on exact entries, each block
-    of linked rows alone, largest real pivot first, dividing by the pivot's
-    real part; (rows, value) for each negative value found."""
-    n, a = m.rows, [list(r) for r in m.data]
-    block = list(range(n))
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != 0 or a[j][i] != 0:
-                block = [block[j] if b == block[i] else b for b in block]
-    found = []
-    for b in dict.fromkeys(block):
-        rest, kept, det = [i for i in range(n) if block[i] == b], [], F(1)
-        while rest:
-            found += [(kept + [j], det * scalar_real(a[j][j])) for j in rest if scalar_real(a[j][j]) < 0]
-            rest = [j for j in rest if scalar_real(a[j][j]) >= 0]
-            if not rest or max(scalar_real(a[j][j]) for j in rest) == 0:
-                break
-            k = max(rest, key=lambda j: scalar_real(a[j][j]))
-            pivot = scalar_real(a[k][k])
-            rest.remove(k)
-            for i in rest:
-                f = a[i][k] * (1 / pivot)
-                for j in rest:
-                    a[i][j] = a[i][j] - f * a[k][j]
-            kept.append(k)
-            det *= pivot
-        for x, k in enumerate(rest):
-            i = next((i for i in rest[x + 1:] if a[i][k] != 0), None)
-            if i is not None:
-                found.append((kept + [k, i], -det * scalar_abs_squared(a[i][k])))
-    return [(sorted(r + 1 for r in sub), val) for sub, val in found]
-
-
 MINOR = re.compile(r"principal minor on rows \[(.*)\] is (.*), negative")
 
 
@@ -508,11 +473,11 @@ def hermitian(draw, gaussian):
 
 
 @st.composite
-def non_hermitian(draw):
+def non_hermitian(draw, gaussian):
     """B^H B, which takes several pivots to eliminate and is singular when
     B is short, with a few entries moved off Hermitian symmetry."""
     n = draw(st.integers(1, 5))
-    entry = st.builds(G, small, small)
+    entry = st.builds(G, small, small) if gaussian else small
     b = Matrix([[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)))])
     rows = [list(r) for r in (b.conj_transpose() @ b).data]
     for _ in range(draw(st.integers(1, 3))):
@@ -667,14 +632,37 @@ class TestPsdElimination:
         assert issues == []
         assert seconds < 0.2
 
+    def test_near_hermitian_complex_n16_is_fast(self, best_of_three):
+        # within tol of Hermitian but not exactly so: each off-diagonal pair
+        # scaled by 1 +- 1e-15, diagonal imaginary parts up to 1e-14
+        n, rng = 16, random.Random(16)
+        b = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+        gram = [[sum(r[i].conjugate() * r[j] for r in b) for j in range(n)] for i in range(n)]
+        tr = sum(gram[i][i].real for i in range(n))
+        rho = Matrix([
+            [gram[i][j] / tr * (1 + 1e-15) if i < j
+             else gram[j][i].conjugate() / tr * (1 - 1e-15) if i > j
+             else complex(gram[i][i].real / tr, rng.uniform(-1e-14, 1e-14))
+             for j in range(n)]
+            for i in range(n)
+        ])
+        seconds, issues = best_of_three(lambda: validate_matrix("density", rho, 1e-12))
+        assert issues == []
+        assert seconds < 0.1
+
     @settings(max_examples=100)
-    @given(non_hermitian())
-    def test_non_hermitian_matches_fraction_elimination(self, m):
-        # a pivot counts with its real part, so on a non-Hermitian complex
-        # matrix the reported values are those of the elimination on fractions
-        reported = [MINOR.fullmatch(v) for v in validate_matrix("density", m)]
-        got = [([int(i) for i in r.group(1).split(", ")], F(r.group(2))) for r in reported if r]
-        assert got == _fraction_elimination(m)
+    @given(st.booleans().flatmap(non_hermitian))
+    def test_non_hermitian_is_checked_on_its_hermitian_part(self, m):
+        # Re(x^H rho x) is x^H H x for the Hermitian part H = (rho + rho^H)/2,
+        # so rho is checked as H is: the reported minors are exactly H's
+        half = (m + m.conj_transpose()).scale(F(1, 2))
+        minors = [v for v in validate_matrix("density", m) if MINOR.fullmatch(v)]
+        assert minors == [v for v in validate_matrix("density", half) if MINOR.fullmatch(v)]
+        oracle = _negative_minors(half)
+        assert (not minors) == (not oracle)
+        for r in map(MINOR.fullmatch, minors):
+            rows = tuple(int(i) for i in r.group(1).split(", "))
+            assert oracle.get(rows) == F(r.group(2))
 
 
 class TestLogPredicates:
