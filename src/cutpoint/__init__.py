@@ -50,10 +50,8 @@ from .exactmath import (
     GaussianRational,
     Matrix,
     complete_to_unitary,
-    kron,
     logs_rationally_equivalent,
     logs_same_sign,
-    mat_pow,
     validate_matrix,
 )
 from .langsem import (

@@ -369,22 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 NUMBER_RULES = {"length": "nonnegative", "max": "nonnegative", "epsilon": "finite and nonnegative"}
 
 
+@documents.unlimited_digits
 def run(argv) -> CommandOutcome:
     """Parse and execute; never raises on bad input, returning the exit code
     and report instead (the surface the tests drive).  Exact values have no
-    size limit, so the interpreter's limit on the digits of an int/str
-    conversion is lifted for the call and restored after it."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # builds before 3.10.7 have no limit
-        return _run(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _run(argv) -> CommandOutcome:
+    size limit (:func:`documents.unlimited_digits`)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Union
 
 from . import langsem
 from .automata import Gfa, Mcqfa, Pfa, basis_state
-from .exactmath import Matrix, PowerSign, complete_to_unitary, kron, scalar_to_float
+from .exactmath import Matrix, PowerSign, complete_to_unitary, int_matmul, scalar_to_float
 from .langsem import (
     EQUALS,
     IndicatorDescriptor,
@@ -562,9 +562,11 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
     """Rebuild an exclusive-cutpoint quantum machine as one with exclusive
     cutpoint 0.
 
-    The new machine runs the conjugate tensor square of the original on a
-    state space extended by one flag coordinate, and a right end-marker whose
-    first row combines the accept-diagonal filter with the old cutpoint; its
+    The new machine runs the conjugate tensor square conj(U) (x) U of each
+    step on a state space extended by one flag coordinate, from the initial
+    state with the left marker folded in.  Its right end-marker applies the
+    old right marker's square 1 (+) conj(R) (x) R, then a unitary whose first
+    row combines the accept-diagonal filter with the old cutpoint; its
     accepting probability is (f - cutpoint)^2 / (2 (cutpoint^2 + |accept|)),
     which is positive exactly where f differs from the cutpoint.
 
@@ -580,28 +582,20 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
         raise ValueError("cutpoint must lie in (0, 1]")
     n = mc.state_count
     accept = sorted(mc.accept_states)
-    cmplx = mc.kind in ("complex-rational", "complex-float")
-    cast = complex if cmplx else float
+    cast = complex if mc.kind in ("complex-rational", "complex-float") else float
 
-    def fl(matrix: Matrix) -> Matrix:
-        return Matrix([[cast(scalar_to_float(v)) for v in row] for row in matrix.data])
+    def square(matrix: Matrix) -> list:
+        """Binary64 rows of conj(A) (x) A."""
+        rows = [[cast(scalar_to_float(v)) for v in row] for row in matrix.data]
+        return [[x.conjugate() * y for x in ra for y in rb] for ra in rows for rb in rows]
 
-    def conj(matrix: Matrix) -> Matrix:
-        return Matrix([[v.conjugate() if cmplx else v for v in row] for row in matrix.data])
+    def flagged(matrix: Matrix) -> list:
+        """Binary64 rows of 1 (+) conj(A) (x) A."""
+        return [[cast(1.0)] + [cast(0.0)] * (n * n)] + [[cast(0.0)] + r for r in square(matrix)]
 
-    v0 = fl(mc.initial_state())
-    pair0 = kron(conj(v0), v0)
     half = 1 / math.sqrt(2.0)
-    initial = Matrix.column([cast(half)] + [half * pair0[i, 0] for i in range(n * n)])
-
-    transitions = {}
-    for s, u in mc.transitions.items():
-        uf = fl(u)
-        tensor = kron(conj(uf), uf)
-        rows = [[cast(1.0)] + [cast(0.0)] * (n * n)]
-        for i in range(n * n):
-            rows.append([cast(0.0)] + list(tensor.data[i]))
-        transitions[s] = Matrix(rows)
+    initial = Matrix.column([cast(half)] + [half * x for (x,) in square(mc.initial_state())])
+    transitions = {s: Matrix(flagged(u)) for s, u in mc.transitions.items()}
 
     c = 1 / math.sqrt(float(lam * lam + len(accept)))
     # positions of the diagonal tensor coordinates |q_j> (x) |q_j>, shifted by
@@ -611,6 +605,8 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
         cast(c) if 1 + i in diag else cast(0.0) for i in range(n * n)
     ]
     marker = complete_to_unitary(first_row)
+    if mc.right_marker is not None:
+        marker = Matrix(int_matmul(marker.data, flagged(mc.right_marker)))
 
     return Mcqfa(
         state_count=n * n + 1,

@@ -10,9 +10,11 @@ State indices in documents (initial basis state, accept lists) are 1-based.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .automata import Automaton, Gfa, Mcqfa, Pfa, Qfa
@@ -53,10 +55,30 @@ MODELS = ("gfa", "pfa", "mcqfa", "qfa")
 SCALARS = (KIND_RATIONAL, KIND_FLOAT, KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT)
 
 
+def unlimited_digits(fn):
+    """``fn`` with the interpreter's limit on the digits of an int/str conversion
+    lifted for the call and restored after it, also after an exception: exact
+    values have no size limit.  Builds before 3.10.7 have no limit to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return call
+
+
 # an exponent is refused: 1e-999999999 would need a 10^9-digit power of ten
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
+@unlimited_digits
 def parse_rational(value, what="rational") -> Fraction:
     """An exact rational from an integer, or from text of any length that is
     p/q (q > 0), an integer or a plain decimal; the one parser for the exact
@@ -69,6 +91,7 @@ def parse_rational(value, what="rational") -> Fraction:
     return Fraction(value)
 
 
+@unlimited_digits
 def format_rational(value: Fraction):
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else str(value)
@@ -127,6 +150,7 @@ def _format_matrix(m: Matrix):
     return [[_format_scalar(x) for x in row] for row in m.data]
 
 
+@unlimited_digits
 def parse_automaton(document, validate: bool = True) -> Automaton:
     """Build an automaton from a JSON document (text or already-decoded dict).
 
@@ -324,6 +348,7 @@ def serialize_descriptor(d: LanguageDescriptor) -> dict:
     raise TypeError(f"not a language descriptor: {type(d).__name__}")
 
 
+@unlimited_digits
 def parse_descriptor(document) -> LanguageDescriptor:
     doc = _load(document)
     form = _field(doc, "form", str)
@@ -371,6 +396,7 @@ def serialize_one_state(spec: OneStateGfaSpec) -> dict:
     }
 
 
+@unlimited_digits
 def parse_one_state(document) -> OneStateGfaSpec:
     doc = _load(document)
     numbers = _field(doc, "numbers", dict)

@@ -1,11 +1,15 @@
-"""Exact rational and complex-rational scalars, small dense matrices, and
-number-theoretic predicates.
+"""Exact rational and complex-rational scalars, small dense matrices, the
+integer-row kernel, and number-theoretic predicates.
 
 Scalars come in four kinds: exact rationals (``fractions.Fraction``), exact
 complex numbers with rational parts (``GaussianRational``), binary64 reals
-(``float``), and binary64 complex (``complex``).  Matrices are homogeneous in
-scalar kind; exact and approximate kinds never mix silently.  The one
-sanctioned direction is the explicit ``Matrix.to_float()`` coercion.
+(``float``), and binary64 complex (``complex``).  ``Matrix`` and
+``GaussianRational`` carry values across the library boundary and do no
+arithmetic: a ``Matrix`` is homogeneous in scalar kind, so exact and
+approximate kinds never mix silently, and exact to binary64 means building a
+``Matrix`` from ``float(x)`` or ``complex(x)``.  Exact arithmetic happens in
+one place, on integer rows over one common denominator (:func:`scaled`,
+:func:`int_matmul`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 KIND_RATIONAL = "rational"
@@ -45,34 +49,6 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
@@ -88,22 +64,8 @@ class GaussianRational:
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __repr__(self):
         return f"GaussianRational({self.re!s}, {self.im!s})"
-
-
-def _as_gaussian(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x), Fraction(0))
-    return NotImplemented
 
 
 Scalar = Union[Fraction, GaussianRational, float, complex]
@@ -139,22 +101,6 @@ def join_kinds(a: str, b: str) -> str:
 
 def is_exact_kind(kind: str) -> bool:
     return kind in EXACT_KINDS
-
-
-def scalar_conj(x: Scalar) -> Scalar:
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
-def scalar_abs_squared(x: Scalar):
-    if isinstance(x, GaussianRational):
-        return x.abs_squared()
-    if isinstance(x, complex):
-        return x.real * x.real + x.imag * x.imag
-    return x * x
 
 
 def scalar_real(x: Scalar):
@@ -220,11 +166,6 @@ class Matrix:
     # construction helpers
 
     @classmethod
-    def identity(cls, n: int, kind: str = KIND_RATIONAL) -> "Matrix":
-        one, zero = one_zero(kind)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
     def column(cls, entries: Iterable[Scalar]) -> "Matrix":
         return cls([[x] for x in entries])
 
@@ -253,27 +194,6 @@ class Matrix:
     def is_exact(self) -> bool:
         return is_exact_kind(self.kind)
 
-    # arithmetic
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        join_kinds(self.kind, other.kind)
-        bt = list(zip(*other.data))
-        return Matrix([[reduce(add, map(mul, row, col)) for col in bt] for row in self.data])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"dimension mismatch: {self.shape} + {other.shape}")
-        join_kinds(self.kind, other.kind)
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
-    def scale(self, c: Scalar) -> "Matrix":
-        join_kinds(self.kind, scalar_kind(c))
-        return Matrix([[c * x for x in r] for r in self.data])
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -288,18 +208,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix([list(c) for c in zip(*self.data)])
-
-    def conj_transpose(self) -> "Matrix":
-        return Matrix([[scalar_conj(x) for x in c] for c in zip(*self.data)])
-
-    def trace(self) -> Scalar:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return reduce(add, (self.data[i][i] for i in range(self.rows)))
-
-    def to_float(self) -> "Matrix":
-        """Explicit exact-to-binary64 coercion (identity on approximate matrices)."""
-        return Matrix([[scalar_to_float(x) for x in r] for r in self.data])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -317,33 +225,6 @@ def one_zero(kind: str):
     if kind == KIND_COMPLEX_FLOAT:
         return complex(1.0), complex(0.0)
     raise ValueError(f"unknown scalar kind {kind}")
-
-
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    """k-th power of a square matrix by repeated squaring; k = 0 gives the identity."""
-    if not m.is_square:
-        raise ValueError("matrix power needs a square matrix")
-    if k < 0:
-        raise ValueError("negative exponent")
-    result = Matrix.identity(m.rows, m.kind)
-    base = m
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    join_kinds(a.kind, b.kind)
-    out = []
-    for ra in a.data:
-        for rb in b.data:
-            out.append([x * y for x in ra for y in rb])
-    return Matrix(out)
 
 
 # fraction-free form: integer rows over one common denominator
@@ -518,7 +399,10 @@ def _validate_density(m: Matrix, tol) -> list[str]:
     im = [r[:n] for r in rows[n:]] if cmplx else [[0] * n for _ in re]
     issues, tr = [], [sum(a[i][i] for i in range(n)) for a in (re, im)]
     if not _near(tr[0] - d, tr[1], t):
-        issues.append(f"trace is {_shown(exact_matrix(m).trace(), m.kind)}, not 1")
+        trace = Fraction(tr[0], d)
+        if cmplx:
+            trace = GaussianRational(trace, Fraction(tr[1], d))
+        issues.append(f"trace is {_shown(trace, m.kind)}, not 1")
     for i in range(n):
         re[i][i] += t
         for j in range(i, n):
@@ -618,7 +502,7 @@ def complete_to_unitary(first_row) -> Matrix:
         cand = [cast(1.0) if j == i else cast(0.0) for j in range(n)]
         for _ in range(2):  # re-orthogonalize once for numerical robustness
             for r in rows:
-                coeff = sum(c * scalar_conj(x) for c, x in zip(cand, r))
+                coeff = sum(c * x.conjugate() for c, x in zip(cand, r))
                 cand = [c - coeff * x for c, x in zip(cand, r)]
         norm = math.sqrt(sum(abs(x) ** 2 for x in cand))
         if norm < 1e-7:

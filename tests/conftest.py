@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import pytest
@@ -19,3 +20,15 @@ def best_of_three():
         return best, result
 
     return measure
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit of 4300 digits on int/str conversions,
+    in force for the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this build has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)

@@ -207,7 +207,7 @@ class TestSeparate:
         aut = Gfa(
             1,
             ("a", "b"),
-            {"a": Matrix.identity(1), "b": Matrix.identity(1)},
+            {"a": Matrix([[1]]), "b": Matrix([[1]])},
             Matrix.column([F(1)]),
             Matrix.row([F(1)]),
         )
@@ -249,7 +249,7 @@ class TestAperiodicity:
         aut = Gfa(
             2,
             ("a",),
-            {"a": Matrix.identity(2)},
+            {"a": Matrix([[1, 0], [0, 1]])},
             basis_state(2, 1),
             basis_state(2, 1).transpose(),
         )

@@ -56,18 +56,6 @@ class TestEval:
         assert run(["eval", rotation_file]).exit_code == 2
 
 
-@pytest.fixture
-def digit_limit():
-    """The interpreter's default limit of 4300 digits on int/str conversions,
-    in force for the test and restored after it."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this build has no int/str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 class TestLongExactValues:
     """Exact values have no size limit: a command lifts the interpreter's
     digit limit for its run and restores it afterwards."""

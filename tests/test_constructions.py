@@ -32,7 +32,7 @@ from cutpoint.constructions import (
     three_state_pfa,
     _last_flip,
 )
-from cutpoint.exactmath import Matrix, PowerSign, mat_pow
+from cutpoint.exactmath import Matrix, PowerSign
 from cutpoint.langsem import (
     IndicatorDescriptor,
     IndicatorOnly,
@@ -44,6 +44,7 @@ from cutpoint.langsem import (
     desc_member,
     named_member,
 )
+from matrix_reference import mat_pow, matmul, scale
 
 F = Fraction
 
@@ -694,7 +695,7 @@ class TestExclusiveToZero:
         one = GaussianRational(F(1), F(0))
         zero = GaussianRational(F(0), F(0))
         phase = Matrix([[i, zero], [zero, one]])
-        u = phase @ rotation_matrix(PythTriple(2, 1)).scale(one)
+        u = matmul(phase, scale(rotation_matrix(PythTriple(2, 1)), one))
         mc = Mcqfa(2, ("a",), {"a": u}, Matrix.column([one, zero]), frozenset({1}))
         assert validate(mc) == []
         built = exclusive_to_zero(mc, F(1, 3))
@@ -713,15 +714,20 @@ class TestExclusiveToZero:
         with pytest.raises(ValueError):
             exclusive_to_zero(self.mc, F(3, 2))
 
-    def test_arbitrary_initial_state_counts_as_left_marker(self):
+    @pytest.mark.parametrize("left, right", [(True, False), (False, True), (True, True)],
+                             ids=["left", "right", "both"])
+    def test_end_markers_are_folded_in(self, left, right):
+        # an initial state other than a basis state counts as a left marker
         mc = Mcqfa(
             2,
             ("a",),
             {"a": rotation_matrix(PythTriple(2, 1))},
-            Matrix.column([F(3, 5), F(4, 5)]),
+            Matrix.column([F(3, 5), F(4, 5)]) if left else 1,
             frozenset({2}),
+            right_marker=rotation_matrix(PythTriple(3, 2)) if right else None,
         )
         built = exclusive_to_zero(mc, F(1, 2))
+        assert validate(built) == []
         for k, sim in enumerate(unary_values(built, 40)):
             exact = exclusive_zero_value(mc, F(1, 2), "a" * k)
             assert sim == pytest.approx(float(exact), abs=1e-9)

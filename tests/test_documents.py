@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,20 @@ class TestAutomatonParsing:
         doc["scalar"] = "complex-rational"
         with pytest.raises(DocumentError):
             parse_automaton(doc)
+
+
+class TestLongExactValues:
+    def test_parse_5001_digit_entry(self, digit_limit):
+        doc = dict(rotation_doc(), final=["1" + "0" * 5000, 0])
+        assert parse_automaton(doc, validate=False).final[0, 0] == 10**5000
+        with pytest.raises(DocumentError):
+            parse_automaton(dict(doc, final=["1" + "0" * 5000, "1/0"]))
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_serialize_4772_digit_denominator(self, digit_limit):
+        aut = three_state_pfa(F(1, 10**4771))
+        assert parse_automaton(json.dumps(serialize_automaton(aut))) == aut
+        assert sys.get_int_max_str_digits() == 4300
 
 
 class TestDescriptorDocuments:

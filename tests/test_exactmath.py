@@ -14,15 +14,17 @@ from cutpoint.exactmath import (
     ScalarMixError,
     complete_to_unitary,
     exponent_vectors,
-    kron,
+    int_matmul,
     logs_rationally_equivalent,
     logs_same_sign,
-    mat_pow,
     scalar_kind,
-    scalar_imag,
     scalar_real,
+    scaled,
+    unscaled,
     validate_matrix,
 )
+from cutpoint.verify import _power_rows
+from matrix_reference import add, conj_transpose, gabs2, gadd, gconj, gmul, identity, matmul, scale
 
 F = Fraction
 
@@ -32,24 +34,17 @@ def G(re, im=0):
 
 
 class TestGaussianRational:
-    def test_arithmetic(self):
-        a, b = G(1, 2), G(3, -1)
-        assert a + b == G(4, 1)
-        assert a - b == G(-2, 3)
-        assert a * b == G(5, 5)  # (1+2i)(3-i) = 3 - i + 6i + 2 = 5 + 5i
-        assert -a == G(-1, -2)
-
-    def test_interop_with_rationals(self):
-        assert G(1, 2) + F(1, 2) == G(F(3, 2), 2)
-        assert 2 * G(1, 1) == G(2, 2)
-        assert G(3, 0) == 3
-        assert G(3, 1) != 3
-
     def test_conjugate_and_abs(self):
         z = G(F(3, 5), F(4, 5))
-        assert z.conjugate() == G(F(3, 5), F(-4, 5))
-        assert z.abs_squared() == 1
+        assert gconj(z) == G(F(3, 5), F(-4, 5))
+        assert gabs2(z) == 1
         assert complex(z) == complex(0.6, 0.8)
+
+    def test_interop_with_rationals(self):
+        assert G(3, 0) == 3 and hash(G(3, 0)) == hash(3)
+        assert G(F(1, 2)) == F(1, 2) and hash(G(F(1, 2))) == hash(F(1, 2))
+        assert G(3, 1) != 3
+        assert len({G(2), F(2), 2}) == 1
 
 
 class TestScalarKinds:
@@ -71,12 +66,16 @@ class TestScalarKinds:
         a = Matrix([[F(1)]])
         b = Matrix([[1.0]])
         with pytest.raises(ScalarMixError):
-            a @ b
+            matmul(a, b)
 
     def test_explicit_coercion(self):
-        m = Matrix([[F(3, 5)]]).to_float()
+        # exact -> binary64 is a new Matrix built from float(x) or complex(x)
+        m = Matrix([[float(x) for x in r] for r in Matrix([[F(3, 5)]]).data])
         assert m.kind == "float"
         assert m[0, 0] == 0.6
+        z = Matrix([[complex(x) for x in r] for r in Matrix([[G(F(3, 5), 1)]]).data])
+        assert z.kind == "complex-float"
+        assert z[0, 0] == 0.6 + 1j
 
     def test_real_complex_promotion_within_exact(self):
         m = Matrix([[F(1), G(0, 1)]])
@@ -84,75 +83,78 @@ class TestScalarKinds:
 
 
 class TestMatrixOps:
+    """Matrix is an immutable container; products run on its integer rows."""
+
     def test_matmul_and_shapes(self):
         a = Matrix([[1, 2], [3, 4]])
         v = Matrix.column([1, 0])
-        assert (a @ v).data == ((F(1),), (F(3),))
-        with pytest.raises(ValueError):
-            v @ a @ v
+        assert v.shape == (2, 1) and Matrix.row([1, 0]).shape == (1, 2)
+        (ra, rv), d = scaled([a, v])
+        assert d == 1 and int_matmul(ra, rv) == [[1], [3]]
+        for ragged_or_empty in ([[1, 2], [3]], [[]]):
+            with pytest.raises(ValueError):
+                Matrix(ragged_or_empty)
 
     def test_identity_and_equality(self):
-        assert mat_pow(Matrix([[1, 1], [0, 1]]), 0) == Matrix.identity(2)
+        assert _power_rows(Matrix([[1, 1], [0, 1]]), 0) == ([[1, 0], [0, 1]], 1)
+        assert identity(2) == Matrix([[1, 0], [0, 1]])
+        assert hash(identity(2)) == hash(Matrix([[1, 0], [0, 1]]))
+        assert Matrix([[1, 0]]) != Matrix([[1], [0]])
+        with pytest.raises(AttributeError):
+            identity(2).rows = 3
 
     def test_conj_transpose(self):
+        # transpose does not conjugate; the adjoint is the reference's
         m = Matrix([[G(1, 2), G(0, 1)]])
-        h = m.conj_transpose()
-        assert h.shape == (2, 1)
-        assert h[0, 0] == G(1, -2)
+        assert m.transpose() == Matrix([[G(1, 2)], [G(0, 1)]])
+        assert conj_transpose(m)[0, 0] == G(1, -2)
 
     def test_trace(self):
-        assert Matrix([[1, 9], [7, 2]]).trace() == 3
+        # the density check reports the trace from the integer rows it sums
+        assert validate_matrix("density", Matrix([[1, 9], [7, 2]]))[0] == "trace is 3, not 1"
+        half_third = Matrix([[F(1, 3), 0], [0, F(1, 2)]])
+        assert validate_matrix("density", half_third)[0] == "trace is 5/6, not 1"
+
+    def test_scaled_round_trip(self):
+        m = Matrix([[F(1, 2), F(-1, 3)], [0, F(5, 6)]])
+        (rows,), d = scaled([m])
+        assert (rows, d) == ([[3, -2], [0, 5]], 6)
+        assert unscaled(rows, d) == m
+        z = Matrix([[G(F(1, 2), 1)], [G(0, F(-1, 4))]])
+        (rows,), d = scaled([z], realify=True)
+        assert (rows, d) == ([[2, -4], [0, 1], [4, 2], [-1, 0]], 4)
+        assert unscaled(rows, d, realify=True) == z
+        (rows,), d = scaled([Matrix([[0.5, 0.25]])])
+        assert (rows, d) == ([[0.5, 0.25]], 1.0) and isinstance(d, float)
 
 
 class TestMatPow:
+    """The integer-row squaring oracle of the rotation-recurrence criterion."""
+
     def test_three_state_square_reaches_final(self):
         a = Matrix(
             [[0, 0, F(1, 2)], [1, 0, F(1, 2)], [0, 1, 0]]
         )
-        assert mat_pow(a, 2)[2, 0] == 1
+        p, d = _power_rows(a, 2)
+        assert F(p[2][0], d) == 1
 
     def test_rotation_square_entry(self):
         r = Matrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])
-        assert mat_pow(r, 2)[0, 0] == F(-7, 25)
+        p, d = _power_rows(r, 2)
+        assert F(p[0][0], d) == F(-7, 25)
 
-    def test_power_additivity_on_random_matrices(self):
-        rng = random.Random(4621)
-        for _ in range(25):
-            m = Matrix(
-                [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
-            )
-            j, k = rng.randint(0, 5), rng.randint(0, 5)
-            assert mat_pow(m, j + k) == mat_pow(m, j) @ mat_pow(m, k)
+    @settings(max_examples=50)
+    @given(st.lists(st.integers(-9, 9), min_size=9, max_size=9), st.integers(0, 12))
+    def test_matches_successive_products(self, entries, k):
+        a = [entries[i:i + 3] for i in (0, 3, 6)]
+        p = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(k):
+            p = int_matmul(p, a)
+        assert _power_rows(Matrix(a), k) == (p, 1)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            mat_pow(Matrix([[1, 2]]), 2)
-
-
-class TestKron:
-    def test_identities(self):
-        assert kron(Matrix.identity(2), Matrix.identity(2)) == Matrix.identity(4)
-
-    def test_scalar_factor(self):
-        b = Matrix([[1, 2], [3, 4]])
-        assert kron(Matrix([[F(5)]]), b) == b.scale(F(5))
-
-    def test_kind_mix_rejected(self):
-        with pytest.raises(ScalarMixError):
-            kron(Matrix([[F(1)]]), Matrix([[1.0]]))
-
-    def test_mixed_product_rule(self):
-        rng = random.Random(99)
-
-        def rand(r, c):
-            return Matrix(
-                [[F(rng.randint(-2, 2)) for _ in range(c)] for _ in range(r)]
-            )
-
-        for _ in range(10):
-            a, c = rand(2, 3), rand(3, 2)
-            b, d = rand(2, 2), rand(2, 3)
-            assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+            _power_rows(Matrix([[1, 2]]), 2)
 
 
 class TestValidateMatrix:
@@ -184,7 +186,11 @@ class TestValidateMatrix:
         assert validate_matrix("density", rho) == []
 
     def test_density_needs_unit_trace(self):
-        assert validate_matrix("density", Matrix.identity(2)) != []
+        assert validate_matrix("density", identity(2)) == ["trace is 2, not 1"]
+        rho = Matrix([[G(F(1, 2), 1), G(0)], [G(0), G(F(1, 3))]])
+        assert validate_matrix("density", rho)[0] == "trace is GaussianRational(5/6, 1), not 1"
+        rho = Matrix([[0.5 + 0.25j, 0j], [0j, 0.25 + 0j]])
+        assert validate_matrix("density", rho, 1e-12)[0] == "trace is (0.75+0.25j), not 1"
 
     def test_density_psd_checks_all_principal_minors(self):
         # diag(0, -1, 2) has unit trace and nonnegative leading principal
@@ -206,7 +212,7 @@ class TestValidateMatrix:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            validate_matrix("hermitian", Matrix.identity(2))
+            validate_matrix("hermitian", identity(2))
 
     @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
     def test_bad_tolerance_rejected(self, tol):
@@ -256,26 +262,26 @@ def exact_square(draw, gaussian, n):
     entry = st.builds(G, small, small) if gaussian else small
     if draw(st.booleans()):
         return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
-    u = Matrix.identity(n)
+    u = identity(n)
     for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
         p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        g = [list(r) for r in Matrix.identity(n).data]
+        g = [list(r) for r in identity(n).data]
         g[p][p], g[p][q], g[q][p], g[q][q] = F(3, 5), F(-4, 5), F(4, 5), F(3, 5)
-        u = Matrix(g) @ u
+        u = matmul(Matrix(g), u)
     if gaussian:
-        u = u @ Matrix([[draw(st.sampled_from(PHASES)) if i == j else G(0) for j in range(n)]
-                        for i in range(n)])
+        u = matmul(u, Matrix([[draw(st.sampled_from(PHASES)) if i == j else G(0) for j in range(n)]
+                              for i in range(n)]))
     rows = [list(r) for r in u.data]
     if draw(st.booleans()):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        rows[i][j] = rows[i][j] + draw(entry)
+        rows[i][j] = gadd(rows[i][j], draw(entry))
     return Matrix(rows)
 
 
 def _gram_messages(elements, message):
-    """The Gram violations computed by Matrix arithmetic on the stacked elements."""
+    """The Gram violations computed by reference arithmetic on the stacked elements."""
     stacked = Matrix([list(r) for e in elements for r in e.data])
-    gram = stacked.conj_transpose() @ stacked
+    gram = matmul(conj_transpose(stacked), stacked)
     return [
         message.format(i=i + 1, j=j + 1, x=gram[i, j], target=int(i == j))
         for i in range(gram.rows)
@@ -297,7 +303,7 @@ class TestGramChecks:
     def test_kraus_set_matches_matrix_arithmetic(self, data, gaussian, n):
         # weights 3/5 and 4/5 make c1 U1, c2 U2 a Kraus set when U1, U2 are unitary
         us = [data.draw(exact_square(gaussian, n)) for _ in range(2)]
-        es = [u.scale(G(c) if gaussian else c) for u, c in zip(us, (F(3, 5), F(4, 5)))]
+        es = [scale(u, G(c) if gaussian else c) for u, c in zip(us, (F(3, 5), F(4, 5)))]
         message = "stacked columns not orthonormal: (E†E)[{i},{j}] = {x}"
         assert validate_matrix("kraus-set", es) == _gram_messages(es, message)
 
@@ -317,7 +323,7 @@ class TestGramChecks:
             if m[i, j] < 0
         ]
         ones = Matrix([[1] * m.rows])
-        for j, s in enumerate((ones @ m).data[0]):
+        for j, s in enumerate(matmul(ones, m).data[0]):
             if s != 1:
                 expected.append(f"column {j + 1} sums to {s}, not 1")
         assert validate_matrix("stochastic", m) == expected
@@ -334,15 +340,11 @@ class TestCompleteToUnitary:
         assert u.data == ((0.0, 1.0), (1.0, 0.0))
 
     def test_marker_row_of_exclusive_transform(self):
-        import math
-
         c = 2 / math.sqrt(5)
         u = complete_to_unitary([-c / 2, c, 0.0, 0.0, 0.0])
         assert validate_matrix("unitary", u, 1e-12) == []
 
     def test_random_rows_complete_to_unitaries(self):
-        import math
-
         rng = random.Random(7331)
         for n in (2, 3, 5, 8):
             for _ in range(10):
@@ -436,8 +438,7 @@ def _det(a):
     total = 0
     for j, x in enumerate(a[0]):
         minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        term = x * _det(minor)
-        total = total - term if j % 2 else total + term
+        total = gadd(total, gmul((-1) ** j, gmul(x, _det(minor))))
     return total
 
 
@@ -462,13 +463,13 @@ def hermitian(draw, gaussian):
     if draw(st.booleans()):  # B^H B is positive semidefinite, singular when B is short
         k = draw(st.integers(1, n))
         b = Matrix([[draw(entry) for _ in range(n)] for _ in range(k)])
-        return b.conj_transpose() @ b
+        return matmul(conj_transpose(b), b)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = G(draw(small)) if gaussian else draw(small)
         for j in range(i + 1, n):
             rows[i][j] = draw(entry)
-            rows[j][i] = rows[i][j].conjugate() if gaussian else rows[i][j]
+            rows[j][i] = gconj(rows[i][j])
     return Matrix(rows)
 
 
@@ -479,10 +480,10 @@ def non_hermitian(draw, gaussian):
     n = draw(st.integers(1, 5))
     entry = st.builds(G, small, small) if gaussian else small
     b = Matrix([[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n)))])
-    rows = [list(r) for r in (b.conj_transpose() @ b).data]
+    rows = [list(r) for r in matmul(conj_transpose(b), b).data]
     for _ in range(draw(st.integers(1, 3))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        rows[i][j] = rows[i][j] + draw(entry)
+        rows[i][j] = gadd(rows[i][j], draw(entry))
     return Matrix(rows)
 
 
@@ -533,7 +534,7 @@ class TestPsdElimination:
         # expands every principal minor of rho + tol*I
         tol = F(1e-12)
         exact = Matrix([
-            [(G(x.real, x.imag) if isinstance(x, complex) else F(x)) + (tol if i == j else 0)
+            [gadd(G(x.real, x.imag) if isinstance(x, complex) else F(x), tol if i == j else 0)
              for j, x in enumerate(r)]
             for i, r in enumerate(m.data)
         ])
@@ -606,8 +607,8 @@ class TestPsdElimination:
     def test_dense_exact_n16_is_fast(self, best_of_three):
         rng = random.Random(16)
         b = Matrix([[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(16)] for _ in range(16)])
-        gram = b.conj_transpose() @ b
-        rho = gram.scale(1 / gram.trace())
+        gram = matmul(conj_transpose(b), b)
+        rho = scale(gram, 1 / sum(gram[i, i] for i in range(16)))
         seconds, issues = best_of_three(lambda: validate_matrix("density", rho))
         assert issues == []
         assert seconds < 0.1
@@ -655,7 +656,7 @@ class TestPsdElimination:
     def test_non_hermitian_is_checked_on_its_hermitian_part(self, m):
         # Re(x^H rho x) is x^H H x for the Hermitian part H = (rho + rho^H)/2,
         # so rho is checked as H is: the reported minors are exactly H's
-        half = (m + m.conj_transpose()).scale(F(1, 2))
+        half = scale(add(m, conj_transpose(m)), F(1, 2))
         minors = [v for v in validate_matrix("density", m) if MINOR.fullmatch(v)]
         assert minors == [v for v in validate_matrix("density", half) if MINOR.fullmatch(v)]
         oracle = _negative_minors(half)

@@ -96,7 +96,7 @@ class TestEnumUnary:
         aut = Gfa(
             1,
             ("a", "b"),
-            {"a": Matrix.identity(1), "b": Matrix.identity(1)},
+            {"a": Matrix([[1]]), "b": Matrix([[1]])},
             Matrix.column([F(1)]),
             Matrix.row([F(1)]),
         )
