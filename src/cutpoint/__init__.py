@@ -49,7 +49,6 @@ from .constructions import (
 from .exactmath import (
     GaussianRational,
     Matrix,
-    complete_to_unitary,
     logs_rationally_equivalent,
     logs_same_sign,
     validate_matrix,

@@ -12,7 +12,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -20,6 +19,7 @@ from typing import Optional
 from . import analysis, constructions, documents, langsem, verify
 from .automata import Mcqfa, Pfa, is_unary, unary_values, value
 from .constructions import OneStateGfaSpec, PythTriple
+from .exactmath import unlimited_digits
 from .langsem import CutpointSpec
 
 
@@ -145,14 +145,8 @@ def _cmd_transform(args) -> CommandOutcome:
     if not isinstance(aut, Mcqfa):
         raise documents.DocumentError("exclusive-to-zero transforms mcqfa documents")
     lam = _parse_cutpoint(args.cutpoint)
-    notice = None
-    if lam == 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            built = constructions.exclusive_to_zero(aut, lam)
-        notice = "cutpoint 0 already is the target form; machine unchanged"
-    else:
-        built = constructions.exclusive_to_zero(aut, lam)
+    built = constructions.exclusive_to_zero(aut, lam)
+    notice = "cutpoint 0 already is the target form; machine unchanged" if built is aut else None
     doc = documents.serialize_automaton(built)
     data = {"machine": doc}
     if notice:
@@ -369,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 NUMBER_RULES = {"length": "nonnegative", "max": "nonnegative", "epsilon": "finite and nonnegative"}
 
 
-@documents.unlimited_digits
+@unlimited_digits
 def run(argv) -> CommandOutcome:
     """Parse and execute; never raises on bad input, returning the exit code
     and report instead (the surface the tests drive).  Exact values have no
-    size limit (:func:`documents.unlimited_digits`)."""
+    size limit (:func:`exactmath.unlimited_digits`)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

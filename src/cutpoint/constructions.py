@@ -11,7 +11,6 @@ into named languages and descriptors, both decided exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -21,7 +20,7 @@ from typing import Iterator, Optional, Union
 
 from . import langsem
 from .automata import Gfa, Mcqfa, Pfa, basis_state
-from .exactmath import Matrix, PowerSign, complete_to_unitary, int_matmul, scalar_to_float
+from .exactmath import Matrix, PowerSign, int_matmul, scalar_to_float
 from .langsem import (
     EQUALS,
     IndicatorDescriptor,
@@ -565,18 +564,20 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
     The new machine runs the conjugate tensor square conj(U) (x) U of each
     step on a state space extended by one flag coordinate, from the initial
     state with the left marker folded in.  Its right end-marker applies the
-    old right marker's square 1 (+) conj(R) (x) R, then a unitary whose first
-    row combines the accept-diagonal filter with the old cutpoint; its
-    accepting probability is (f - cutpoint)^2 / (2 (cutpoint^2 + |accept|)),
-    which is positive exactly where f differs from the cutpoint.
+    old right marker's square 1 (+) conj(R) (x) R, then the Householder
+    reflection whose first row r reads the accept diagonal against the old
+    cutpoint; its accepting probability is
+    (f - cutpoint)^2 / (2 (cutpoint^2 + |accept|)), which is positive exactly
+    where f differs from the cutpoint.  Cutpoint 0 already is the target
+    form: the machine itself is returned.
 
-    The output is a binary64 machine (the end-marker completion and the
-    1/sqrt(2) split are irrational); use :func:`exclusive_zero_value` for the
-    exact value when the input machine is exact.
+    The output is a binary64 machine: the 1/sqrt(2) split and
+    c = 1/sqrt(cutpoint^2 + |accept|) are irrational.  Use
+    :func:`exclusive_zero_value` for the exact value when the input machine
+    is exact.
     """
     lam = Fraction(cutpoint)
     if lam == 0:
-        warnings.warn("cutpoint 0 already is the target form; machine returned unchanged")
         return mc
     if not 0 < lam <= 1:
         raise ValueError("cutpoint must lie in (0, 1]")
@@ -598,15 +599,16 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
     transitions = {s: Matrix(flagged(u)) for s, u in mc.transitions.items()}
 
     c = 1 / math.sqrt(float(lam * lam + len(accept)))
-    # positions of the diagonal tensor coordinates |q_j> (x) |q_j>, shifted by
-    # the flag coordinate
+    # r = (-c lam, c on the diagonal tensor coordinates |q_j> (x) |q_j>
+    # shifted by the flag coordinate, 0 elsewhere) is a unit row; the
+    # reflection I - 2 w w^T / (w^T w) with w = e_1 - r is symmetric and
+    # orthogonal, and its first row is r
     diag = {1 + (j - 1) * (n + 1) for j in accept}
-    first_row = [cast(-c * float(lam))] + [
-        cast(c) if 1 + i in diag else cast(0.0) for i in range(n * n)
-    ]
-    marker = complete_to_unitary(first_row)
+    w = [1 + c * float(lam)] + [-c if i in diag else 0.0 for i in range(1, n * n + 1)]
+    t = 2 / sum(x * x for x in w)
+    marker = [[cast(float(i == j) - t * x * y) for j, y in enumerate(w)] for i, x in enumerate(w)]
     if mc.right_marker is not None:
-        marker = Matrix(int_matmul(marker.data, flagged(mc.right_marker)))
+        marker = int_matmul(marker, flagged(mc.right_marker))
 
     return Mcqfa(
         state_count=n * n + 1,
@@ -614,7 +616,7 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
         transitions=transitions,
         initial=initial,
         accept_states=frozenset({1}),
-        right_marker=marker,
+        right_marker=Matrix(marker),
     )
 
 

@@ -10,11 +10,9 @@ State indices in documents (initial basis state, accept lists) are 1-based.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
-import sys
 from fractions import Fraction
 
 from .automata import Automaton, Gfa, Mcqfa, Pfa, Qfa
@@ -26,6 +24,7 @@ from .exactmath import (
     KIND_RATIONAL,
     GaussianRational,
     Matrix,
+    unlimited_digits,
 )
 from .langsem import (
     IndicatorDescriptor,
@@ -53,25 +52,6 @@ class ValidationFailure(ValueError):
 
 MODELS = ("gfa", "pfa", "mcqfa", "qfa")
 SCALARS = (KIND_RATIONAL, KIND_FLOAT, KIND_COMPLEX_RATIONAL, KIND_COMPLEX_FLOAT)
-
-
-def unlimited_digits(fn):
-    """``fn`` with the interpreter's limit on the digits of an int/str conversion
-    lifted for the call and restored after it, also after an exception: exact
-    values have no size limit.  Builds before 3.10.7 have no limit to lift."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return fn
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    return call
 
 
 # an exponent is refused: 1e-999999999 would need a 10^9-digit power of ten

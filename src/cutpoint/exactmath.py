@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 KIND_RATIONAL = "rational"
 KIND_COMPLEX_RATIONAL = "complex-rational"
@@ -281,8 +282,28 @@ def int_matmul(a: list, b: list) -> list:
     return [[sum(map(mul, r, c)) for c in cols] for r in a]
 
 
+def unlimited_digits(fn):
+    """``fn`` with the interpreter's limit on the digits of an int/str conversion
+    lifted for the call and restored after it, also after an exception: exact
+    values have no size limit.  Builds before 3.10.7 have no limit to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return call
+
+
 # matrix validation
 
+@unlimited_digits
 def validate_matrix(kind: str, m, tol=0) -> list[str]:
     """Check a structural property and return human-readable violations.
 
@@ -474,45 +495,6 @@ def _elimination_minors(re: list, im: list, d: int, rows) -> list:
     return found
 
 
-def complete_to_unitary(first_row) -> Matrix:
-    """Extend a unit-norm row to a unitary matrix.
-
-    Runs deterministic Gram-Schmidt over the standard basis vectors in order,
-    skipping those that are (numerically) dependent on the rows collected so
-    far.  Always computed in binary64: a generic completion involves square
-    roots that leave the rationals.
-    """
-    if isinstance(first_row, Matrix):
-        if first_row.rows != 1:
-            raise ValueError("first_row must be a 1 x n row vector")
-        entries = list(first_row.data[0])
-    else:
-        entries = list(first_row)
-    n = len(entries)
-    cmplx = any(isinstance(x, (complex, GaussianRational)) for x in entries)
-    cast = complex if cmplx else float
-    row = [cast(scalar_to_float(x)) for x in entries]
-    norm = math.sqrt(sum((abs(x) ** 2 for x in row)))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"first row has norm {norm}, expected 1")
-    rows = [[x / norm for x in row]]
-    for i in range(n):
-        if len(rows) == n:
-            break
-        cand = [cast(1.0) if j == i else cast(0.0) for j in range(n)]
-        for _ in range(2):  # re-orthogonalize once for numerical robustness
-            for r in rows:
-                coeff = sum(c * x.conjugate() for c, x in zip(cand, r))
-                cand = [c - coeff * x for c, x in zip(cand, r)]
-        norm = math.sqrt(sum(abs(x) ** 2 for x in cand))
-        if norm < 1e-7:
-            continue
-        rows.append([x / norm for x in cand])
-    if len(rows) != n:
-        raise ValueError("failed to complete an orthonormal basis")
-    return Matrix(rows)
-
-
 # number theory
 
 def exponent_vectors(bases) -> list[dict[int, int]]:
@@ -560,6 +542,14 @@ def exponent_vectors(bases) -> list[dict[int, int]]:
         v.update((b, -e) for b, e in exponents(r.denominator).items())
         vectors.append(v)
     return vectors
+
+
+def _exponent_ratio(v: dict, w: dict) -> Optional[Fraction]:
+    """The rational t with v = t * w for exponent vectors v and nonzero w, or
+    None when v is no rational multiple of w."""
+    p, e = next(iter(w.items()))
+    t = Fraction(v.get(p, 0), e)
+    return t if v == {q: t * f for q, f in w.items() if t} else None
 
 
 def _divide_out(n: int, b: int) -> tuple[int, int]:
@@ -677,15 +667,4 @@ def logs_rationally_equivalent(bases) -> bool:
     coprime base (excluding 1, whose log is 0) are pairwise parallel.
     """
     vectors = [v for v in exponent_vectors(bases) if v]
-    if len(vectors) <= 1:
-        return True
-    ref = vectors[0]
-    ref_prime = next(iter(ref))
-    ref_exp = ref[ref_prime]
-    for v in vectors[1:]:
-        if set(v) != set(ref):
-            return False
-        ratio = Fraction(v[ref_prime], ref_exp)
-        if any(Fraction(v[p]) != ratio * ref[p] for p in ref):
-            return False
-    return True
+    return all(_exponent_ratio(v, vectors[0]) is not None for v in vectors[1:])

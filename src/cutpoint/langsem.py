@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .automata import Automaton, Gfa, Pfa, unary_values
-from .exactmath import GaussianRational, PowerSign, exponent_vectors, scalar_kind
+from .exactmath import GaussianRational, PowerSign, _exponent_ratio, exponent_vectors, scalar_kind
 
 #: default tolerance for inclusive/exclusive comparison of binary64 values
 VALUE_TOL = 1e-9
@@ -348,15 +348,14 @@ class UnaryName:
         if self.kind == "Complement":
             if not isinstance(self.inner, UnaryName) or self.n is not None:
                 raise ValueError("complement wraps exactly one inner name")
+        elif self.kind not in _MEMBER:
+            raise ValueError(f"unknown unary language name {self.kind!r}")
         elif self.kind in _PARAMETRIC:
             floor = 1 if self.kind == "ModN" else 0
             if self.inner is not None or not isinstance(self.n, int) or self.n < floor:
                 raise ValueError(f"{self.kind} needs an integer parameter >= {floor}")
-        elif self.kind in _PLAIN:
-            if self.n is not None or self.inner is not None:
-                raise ValueError(f"{self.kind} takes no parameters")
-        else:
-            raise ValueError(f"unknown unary language name {self.kind!r}")
+        elif self.n is not None or self.inner is not None:
+            raise ValueError(f"{self.kind} takes no parameters")
 
     def __str__(self):
         if self.kind == "Complement":
@@ -366,21 +365,30 @@ class UnaryName:
         return self.kind
 
 
-_PARAMETRIC = {
-    "Less",
-    "CoLess",
-    "LessAndEven",
-    "LessAndCoEven",
-    "CoLessAndEven",
-    "CoLessAndCoEven",
-    "LessOrEven",
-    "LessOrCoEven",
-    "CoLessOrEven",
-    "CoLessOrCoEven",
-    "SingletonLength",
-    "ModN",
+#: membership of a^m in each named family with parameter n (None for the
+#: families that take none); a complement negates its inner name
+_MEMBER = {
+    "Empty": lambda m, n: False,
+    "All": lambda m, n: True,
+    "EpsilonOnly": lambda m, n: m == 0,
+    "APlus": lambda m, n: m >= 1,
+    "Even": lambda m, n: m % 2 == 0,
+    "CoEven": lambda m, n: m % 2 == 1,
+    "Less": lambda m, n: m <= n,
+    "CoLess": lambda m, n: m > n,
+    "LessAndEven": lambda m, n: m <= n and m % 2 == 0,
+    "LessAndCoEven": lambda m, n: m <= n and m % 2 == 1,
+    "CoLessAndEven": lambda m, n: m > n and m % 2 == 0,
+    "CoLessAndCoEven": lambda m, n: m > n and m % 2 == 1,
+    "LessOrEven": lambda m, n: m <= n or m % 2 == 0,
+    "LessOrCoEven": lambda m, n: m <= n or m % 2 == 1,
+    "CoLessOrEven": lambda m, n: m > n or m % 2 == 0,
+    "CoLessOrCoEven": lambda m, n: m > n or m % 2 == 1,
+    "SingletonLength": lambda m, n: m == n,
+    "ModN": lambda m, n: m % n == 0,
 }
 _PLAIN = {"Empty", "All", "EpsilonOnly", "APlus", "Even", "CoEven"}
+_PARAMETRIC = _MEMBER.keys() - _PLAIN
 
 EMPTY = UnaryName("Empty")
 ALL = UnaryName("All")
@@ -414,46 +422,9 @@ def named_member(name: UnaryName, m: int) -> bool:
     """Membership of the word a^m in a named unary regular language."""
     if m < 0:
         raise ValueError("word length must be nonnegative")
-    k, n = name.kind, name.n
-    if k == "Empty":
-        return False
-    if k == "All":
-        return True
-    if k == "EpsilonOnly":
-        return m == 0
-    if k == "APlus":
-        return m >= 1
-    if k == "Even":
-        return m % 2 == 0
-    if k == "CoEven":
-        return m % 2 == 1
-    if k == "Less":
-        return m <= n
-    if k == "CoLess":
-        return m > n
-    if k == "LessAndEven":
-        return m <= n and m % 2 == 0
-    if k == "LessAndCoEven":
-        return m <= n and m % 2 == 1
-    if k == "CoLessAndEven":
-        return m > n and m % 2 == 0
-    if k == "CoLessAndCoEven":
-        return m > n and m % 2 == 1
-    if k == "LessOrEven":
-        return m <= n or m % 2 == 0
-    if k == "LessOrCoEven":
-        return m <= n or m % 2 == 1
-    if k == "CoLessOrEven":
-        return m > n or m % 2 == 0
-    if k == "CoLessOrCoEven":
-        return m > n or m % 2 == 1
-    if k == "SingletonLength":
-        return m == n
-    if k == "ModN":
-        return m % n == 0
-    if k == "Complement":
+    if name.kind == "Complement":
         return not named_member(name.inner, m)
-    raise ValueError(f"unknown unary language name {k!r}")
+    return _MEMBER[name.kind](m, name.n)
 
 
 def parse_unary_name(text: str) -> UnaryName:
@@ -522,9 +493,7 @@ def _exact_log(tau: Fraction, base: Fraction) -> Optional[int]:
     Over one coprime base, base**n == tau exactly when the exponent vector
     of tau is n times that of base, so no power is ever formed.
     """
-    vt, vb = exponent_vectors([tau, base])
-    b, e = next(iter(vb.items()))
-    n, rem = divmod(vt.get(b, 0), e)
-    if rem or n < 0 or vt != {q: n * f for q, f in vb.items() if n}:
+    n = _exponent_ratio(*exponent_vectors([tau, base]))
+    if n is None or n.denominator != 1 or n < 0:
         return None
-    return n
+    return int(n)

@@ -19,7 +19,7 @@ PUBLIC = set("""
     ParikhVector ParityDescriptor Pfa PythTriple Qfa SeparationWitness SolutionDescriptor
     ThreeStateParams TwoStatePfaAnalysis UnaryName VForm analyze_two_state_pfa aperiodicity_check
     basis_density basis_state build_one_state chomsky_classify chomsky_classify_gfa
-    classify_two_state_pfa complete_to_unitary cut_member decimate decompose_one_state
+    classify_two_state_pfa cut_member decimate decompose_one_state
     density_report desc_member enum_unary exclusive_to_zero exclusive_zero_value
     logs_rationally_equivalent logs_same_sign modn_mcqfa named_member normalize_one_state
     one_state_accepts parikh rotation_automaton rotation_cosines separate three_state_closed_form
@@ -48,5 +48,6 @@ def test_containers_do_no_arithmetic():
     assert {n for n in dir(GaussianRational(1, 2)) if not n.startswith("_")} == {"re", "im"}
     for cls in (Matrix, GaussianRational):
         assert [op for op in ARITHMETIC if hasattr(cls, op)] == []
-    for name in ("mat_pow", "kron", "scalar_conj", "scalar_abs_squared", "_as_gaussian"):
+    for name in ("mat_pow", "kron", "scalar_conj", "scalar_abs_squared", "_as_gaussian",
+                 "complete_to_unitary"):
         assert not hasattr(exactmath, name)

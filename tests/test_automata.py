@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,13 @@ class TestPfa:
             Matrix.row([F(1), F(0)]),
         )
         assert any("column" in v for v in validate(bad))
+
+    def test_validate_reports_a_column_sum_of_any_length(self, digit_limit):
+        bad = Pfa(1, ("a",), {"a": Matrix([[1 - F(1, 10**4400)]])}, 1, Matrix.row([1]))
+        assert validate(bad) == [
+            f"transition 'a': column 1 sums to {'9' * 4400}/1{'0' * 4400}, not 1"
+        ]
+        assert sys.get_int_max_str_digits() == 4300
 
     def test_validate_flags_fractional_final_without_marker(self):
         bad = Pfa(

@@ -1,8 +1,10 @@
 import math
 import random
+import warnings
 from collections import Counter
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from cutpoint.constructions import (
     three_state_pfa,
     _last_flip,
 )
-from cutpoint.exactmath import Matrix, PowerSign
+from cutpoint.exactmath import GaussianRational, Matrix, PowerSign, scalar_to_float, validate_matrix
 from cutpoint.langsem import (
     IndicatorDescriptor,
     IndicatorOnly,
@@ -44,7 +46,7 @@ from cutpoint.langsem import (
     desc_member,
     named_member,
 )
-from matrix_reference import mat_pow, matmul, scale
+from matrix_reference import conj_transpose, identity, kron, mat_pow, matmul, scale, to_float
 
 F = Fraction
 
@@ -705,8 +707,25 @@ class TestExclusiveToZero:
             exact = exclusive_zero_value(mc, F(1, 3), "a" * k)
             assert sim == pytest.approx(float(exact), abs=1e-9)
 
+    def test_marker_is_a_symmetric_involution(self):
+        # without an old right marker the end-marker is the reflection itself
+        h = exclusive_to_zero(self.mc, F(1, 2)).right_marker.data
+        for i, row in enumerate(h):
+            for j, x in enumerate(row):
+                assert x == pytest.approx(h[j][i], abs=1e-15)
+                square = sum(row[k] * h[k][j] for k in range(len(h)))
+                assert square == pytest.approx(float(i == j), abs=1e-15)
+
+    def test_empty_accept_at_cutpoint_one_flips_the_flag(self):
+        # r = -e_1, so the reflection is exactly diag(-1, 1, ..., 1)
+        mc = Mcqfa(2, ("a",), dict(self.mc.transitions), self.mc.initial, frozenset())
+        h = exclusive_to_zero(mc, F(1)).right_marker.data
+        assert h == tuple(tuple(-1.0 if i == j == 0 else float(i == j) for j in range(5))
+                          for i in range(5))
+
     def test_zero_cutpoint_returns_machine_unchanged(self):
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = exclusive_to_zero(self.mc, F(0))
         assert out is self.mc
 
@@ -731,6 +750,80 @@ class TestExclusiveToZero:
         for k, sim in enumerate(unary_values(built, 40)):
             exact = exclusive_zero_value(mc, F(1, 2), "a" * k)
             assert sim == pytest.approx(float(exact), abs=1e-9)
+
+    def test_random_exact_machines(self):
+        # every size, accept set and marker combination, on random exact
+        # unitaries, real and Gaussian, with cutpoints in (0, 1]
+        rng = random.Random(1958)
+        cases = product((1, 2, 3), ("empty", "partial", "full"), (False, True), (False, True))
+        for case, (n, accepting, left, right) in enumerate(cases):
+            if accepting == "partial" and n == 1:
+                continue
+            gaussian = rng.random() < 0.5
+            partial = rng.randint(1, n - 1) if n > 1 else None
+            size = {"empty": 0, "partial": partial, "full": n}[accepting]
+            accept = frozenset(rng.sample(range(1, n + 1), size))
+            mc = Mcqfa(
+                n,
+                ("a",),
+                {"a": _exact_unitary(rng, n, gaussian)},
+                1,
+                accept,
+                left_marker=_exact_unitary(rng, n, gaussian) if left else None,
+                right_marker=_exact_unitary(rng, n, gaussian) if right else None,
+            )
+            assert validate(mc) == []
+            lam = F(1) if case % 4 == 0 else F(rng.randint(1, 999), 1000)
+            built = exclusive_to_zero(mc, lam)
+            assert validate(built) == [], (n, accepting, left, right)
+
+            # the marker's first row is r = c (-lam, 1 on the accept diagonal,
+            # 0 elsewhere), times 1 (+) conj(R) (x) R after a right marker R
+            c = 1 / math.sqrt(lam * lam + len(accept))
+            diag = {(q - 1) * (n + 1) for q in accept}
+            row = [-lam] + [F(i in diag) for i in range(n * n)]
+            if right:
+                r = mc.right_marker
+                square = kron(conj_transpose(r).transpose(), r)
+                row[1:] = matmul(Matrix.row(row[1:]), square).data[0]
+            for x, y in zip(built.right_marker.data[0], row):
+                assert abs(x - c * scalar_to_float(y)) <= 1e-15, (n, accepting, left, right, lam)
+
+            for k in range(21):
+                exact = exclusive_zero_value(mc, lam, "a" * k)
+                assert built.value("a" * k) == pytest.approx(float(exact), abs=1e-9)
+
+    def test_ten_state_marker_is_a_fast_reflection(self, best_of_three):
+        rng = random.Random(10)
+        mc = Mcqfa(10, ("a",), {"a": to_float(_exact_unitary(rng, 10, False))}, 1,
+                   frozenset({1, 4, 7}))
+        seconds, built = best_of_three(lambda: exclusive_to_zero(mc, F(1, 3)))
+        assert built.state_count == 101
+        assert validate_matrix("unitary", built.right_marker, 1e-12) == []
+        assert seconds < 0.1
+
+
+def _exact_unitary(rng, n, gaussian) -> Matrix:
+    """A product of triple rotations in random coordinate planes, a random
+    permutation with sign flips and, for a Gaussian unitary, an i phase."""
+    u = identity(n)
+    for _ in range(2 * (n - 1)):
+        i, j = rng.sample(range(n), 2)
+        triple = PythTriple(*rng.choice([(2, 1), (3, 2), (4, 1)]))
+        (c, minus_s), (s, _) = rotation_matrix(triple).data
+        g = [list(r) for r in identity(n).data]
+        g[i][i], g[i][j], g[j][i], g[j][j] = c, minus_s, s, c
+        u = matmul(Matrix(g), u)
+    perm = rng.sample(range(n), n)
+    u = matmul(Matrix([[F(rng.choice((-1, 1))) if j == perm[i] else F(0) for j in range(n)]
+                       for i in range(n)]), u)
+    if not gaussian:
+        return u
+    one, zero = GaussianRational(F(1), F(0)), GaussianRational(F(0), F(0))
+    k = rng.randrange(n)
+    phase = Matrix([[(GaussianRational(F(0), F(1)) if i == k else one) if i == j else zero
+                     for j in range(n)] for i in range(n)])
+    return matmul(phase, scale(u, one))
 
 
 class TestModN:

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from cutpoint.exactmath import (
     GaussianRational,
     Matrix,
     ScalarMixError,
-    complete_to_unitary,
+    _exponent_ratio,
     exponent_vectors,
     int_matmul,
     logs_rationally_equivalent,
@@ -20,6 +21,7 @@ from cutpoint.exactmath import (
     scalar_kind,
     scalar_real,
     scaled,
+    unlimited_digits,
     unscaled,
     validate_matrix,
 )
@@ -329,33 +331,22 @@ class TestGramChecks:
         assert validate_matrix("stochastic", m) == expected
 
 
-class TestCompleteToUnitary:
-    def test_basis_row_gives_identity_like(self):
-        u = complete_to_unitary([1.0, 0.0, 0.0])
-        assert u.data[0] == (1.0, 0.0, 0.0)
-        assert validate_matrix("unitary", u, 1e-12) == []
-
-    def test_swap_completion(self):
-        u = complete_to_unitary([0.0, 1.0])
-        assert u.data == ((0.0, 1.0), (1.0, 0.0))
-
-    def test_marker_row_of_exclusive_transform(self):
-        c = 2 / math.sqrt(5)
-        u = complete_to_unitary([-c / 2, c, 0.0, 0.0, 0.0])
-        assert validate_matrix("unitary", u, 1e-12) == []
-
-    def test_random_rows_complete_to_unitaries(self):
-        rng = random.Random(7331)
-        for n in (2, 3, 5, 8):
-            for _ in range(10):
-                row = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-                norm = math.sqrt(sum(abs(x) ** 2 for x in row))
-                u = complete_to_unitary([x / norm for x in row])
-                assert validate_matrix("unitary", u, 1e-12) == []
-
-    def test_rejects_non_unit_row(self):
+class TestUnlimitedDigits:
+    def test_lifts_the_limit_for_the_call(self, digit_limit):
+        big = 10**5000
+        assert unlimited_digits(str)(big) == "1" + "0" * 5000
+        assert sys.get_int_max_str_digits() == 4300
         with pytest.raises(ValueError):
-            complete_to_unitary([0.5, 0.5])
+            str(big)
+
+    def test_restores_the_limit_after_an_exception(self, digit_limit):
+        def fail():
+            assert sys.get_int_max_str_digits() == 0
+            raise KeyError("inside")
+
+        with pytest.raises(KeyError):
+            unlimited_digits(fail)()
+        assert sys.get_int_max_str_digits() == 4300
 
 
 def _from_exponents(vector: dict) -> Fraction:
@@ -686,6 +677,14 @@ class TestLogPredicates:
     def test_mixed_prime_support(self):
         assert logs_rationally_equivalent([F(2, 3), F(9, 4)])  # (2/3) and (2/3)^-2
         assert not logs_rationally_equivalent([F(2, 3), F(3, 4)])
+
+    def test_exponent_ratio(self):
+        assert _exponent_ratio({2: 3, 3: -6}, {2: -1, 3: 2}) == -3
+        assert _exponent_ratio({2: 1}, {2: 2}) == F(1, 2)
+        assert _exponent_ratio({}, {5: 1}) == 0
+        assert _exponent_ratio({2: 1}, {2: 1, 3: 1}) is None
+        assert _exponent_ratio({2: 1, 3: 1}, {2: 1}) is None
+        assert _exponent_ratio({2: 1, 3: 1}, {2: 1, 3: 2}) is None
 
     def test_invariant_under_rational_powers(self):
         rng = random.Random(31337)
