@@ -11,7 +11,6 @@ into named languages and descriptors, both decided exactly.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import cached_property
@@ -20,7 +19,7 @@ from typing import Iterator, Optional, Union
 
 from . import langsem
 from .automata import Gfa, Mcqfa, Pfa, basis_state
-from .exactmath import Matrix, PowerSign, int_matmul, scalar_to_float
+from .exactmath import Matrix, PowerSign, scalar_to_float
 from .langsem import (
     EQUALS,
     IndicatorDescriptor,
@@ -392,9 +391,14 @@ class OneStateGfaSpec:
         if self.mode not in (langsem.STRICT, langsem.INCLUSIVE):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple:
         return tuple(sorted(self.numbers))
+
+    @cached_property
+    def _memo(self) -> langsem._ClassMemo:
+        """Verdicts per Parikh class, built on first use."""
+        return langsem._ClassMemo(self.alphabet)
 
     @cached_property
     def _acceptance(self) -> tuple:
@@ -410,15 +414,16 @@ def one_state_accepts(spec: OneStateGfaSpec, word) -> bool:
     """Direct evaluation of the acceptance condition: the product of the
     per-letter numbers raised to the letter counts, compared to the cutpoint
     (with the empty product equal to 1, including 0^0 = 1).  A ``Counter`` of
-    letter counts is accepted in place of the word.
+    letter counts is accepted in place of the word.  Each machine decides
+    each Parikh class once and reuses the verdict.
 
     The product is never formed: a used zero letter makes it 0, the negative
     letters give its sign, and :class:`exactmath.PowerSign` compares its
     magnitude with that of the cutpoint."""
-    counts = word if isinstance(word, Counter) else Counter(word)
-    unknown = set(counts) - set(spec.numbers)
-    if unknown:
-        raise ValueError(f"letters {sorted(unknown)} outside alphabet {spec.alphabet}")
+    return spec._memo.member(spec, word, _accepts)
+
+
+def _accepts(spec: OneStateGfaSpec, counts) -> bool:
     zeros, negatives, cut_sign, magnitude = spec._acceptance
     if any(counts[a] for a in zeros):
         # the product is 0; order is the sign of 0 - cutpoint
@@ -606,9 +611,15 @@ def exclusive_to_zero(mc: Mcqfa, cutpoint) -> Mcqfa:
     diag = {1 + (j - 1) * (n + 1) for j in accept}
     w = [1 + c * float(lam)] + [-c if i in diag else 0.0 for i in range(1, n * n + 1)]
     t = 2 / sum(x * x for x in w)
-    marker = [[cast(float(i == j) - t * x * y) for j, y in enumerate(w)] for i, x in enumerate(w)]
-    if mc.right_marker is not None:
-        marker = int_matmul(marker, flagged(mc.right_marker))
+    if mc.right_marker is None:
+        marker = [[cast(float(i == j) - t * x * y) for j, y in enumerate(w)] for i, x in enumerate(w)]
+    else:
+        # (I - t w w^T) F = F - t w (w^T F), and w has 1 + |accept| nonzero
+        # entries, so the fold costs O(N^2), not a dense O(N^3) product
+        f = flagged(mc.right_marker)
+        used = [(x, row) for x, row in zip(w, f) if x]
+        wf = [sum(x * row[j] for x, row in used) for j in range(len(w))]
+        marker = [[a - t * x * b for a, b in zip(row, wf)] for x, row in zip(w, f)]
 
     return Mcqfa(
         state_count=n * n + 1,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -105,15 +106,76 @@ class ParikhVector:
 def parikh(word, alphabet=None) -> ParikhVector:
     """Letter-occurrence counts of a word; the alphabet defaults to the sorted
     letters occurring in the word."""
-    c = Counter(word)
-    if alphabet is None:
-        alphabet = tuple(sorted(c))
-    else:
-        alphabet = tuple(alphabet)
-        unknown = set(c) - set(alphabet)
-        if unknown:
-            raise ValueError(f"letters {sorted(unknown)} outside alphabet {alphabet}")
-    return ParikhVector(alphabet, tuple(c.get(a, 0) for a in alphabet))
+    if not isinstance(word, (str, list, tuple, Mapping)):
+        word = tuple(word)
+    alphabet = tuple(sorted(set(word)) if alphabet is None else alphabet)
+    memo = _ClassMemo(alphabet)
+    counts = dict(zip(memo.letters, memo.counts(word)))
+    return ParikhVector(alphabet, tuple(counts[a] for a in alphabet))
+
+
+#: Parikh classes whose verdicts one machine or descriptor keeps; past the cap
+#: a new class is decided on every call
+_MEMO_CAP = 4096
+
+
+class _ClassMemo:
+    """Membership decided once per Parikh class.
+
+    The languages of one-state machines are Parikh-closed, so a verdict is a
+    function of the letter counts alone: a word is reduced to the tuple of its
+    counts in alphabet order, and that tuple keys the stored verdicts.  Each
+    machine or descriptor builds its memo lazily; the memo is not a field, so
+    equality, hashing and results are unchanged, and concurrent callers can
+    at worst decide one class twice or store a few verdicts past the cap.
+    """
+
+    __slots__ = ("alphabet", "letters", "known", "by_char", "verdicts")
+
+    def __init__(self, alphabet: tuple):
+        self.alphabet = alphabet
+        self.letters = tuple(dict.fromkeys(alphabet))
+        self.known = frozenset(self.letters)
+        # a string word is a sequence of characters, so str.count counts the
+        # letters exactly when each is one character
+        self.by_char = all(isinstance(a, str) and len(a) == 1 for a in self.letters)
+        self.verdicts = {}
+
+    def counts(self, word) -> tuple:
+        """Occurrences of each letter in ``word``, a word or a mapping of
+        letter counts read as ``Counter(word)`` reads it; letters outside the
+        alphabet are an error, even with count 0 in a mapping."""
+        if isinstance(word, Counter):
+            if not self.known.issuperset(word):
+                self._outside(word)
+            return tuple(word[a] for a in self.letters)
+        if not (self.by_char and isinstance(word, str) or isinstance(word, (list, tuple))):
+            return self.counts(Counter(word) if isinstance(word, Mapping) else tuple(word))
+        counts = tuple(map(word.count, self.letters))
+        if sum(counts) != len(word):
+            self._outside(word)
+        return counts
+
+    def _outside(self, letters):
+        unknown = set(letters) - self.known
+        raise ValueError(f"letters {sorted(unknown)} outside alphabet {self.alphabet}")
+
+    def member(self, owner, word, decide) -> bool:
+        """``decide(owner, counts)`` on the class of ``word``, looked up
+        first among the stored verdicts.  A ``Counter`` is already a class
+        and is decided directly."""
+        if isinstance(word, Counter):
+            if not self.known.issuperset(word):
+                self._outside(word)
+            return decide(owner, word)
+        key = self.counts(word)
+        verdicts = self.verdicts
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = decide(owner, dict(zip(self.letters, key)))
+            if len(verdicts) < _MEMO_CAP:
+                verdicts[key] = verdict
+        return verdict
 
 
 # descriptors
@@ -170,7 +232,7 @@ class SolutionDescriptor:
                 self, "threshold", math.inf if unbounded else float(self.threshold)
             )
 
-    def member(self, counts: Counter) -> bool:
+    def member(self, counts: Mapping) -> bool:
         """Solution membership for a word already reduced to letter counts;
         the word must lie in alphabet^*."""
         if any(c not in self.coefficients and n > 0 for c, n in counts.items()):
@@ -211,7 +273,7 @@ class ParityDescriptor:
         if self.bit not in (0, 1):
             raise ValueError("parity bit must be 0 or 1")
 
-    def member(self, counts: Counter) -> bool:
+    def member(self, counts: Mapping) -> bool:
         if any(c not in self.alphabet and n > 0 for c, n in counts.items()):
             return False
         return sum(counts.get(a, 0) for a in self.subset) % 2 == self.bit
@@ -230,12 +292,21 @@ class IndicatorDescriptor:
         if not self.subset <= set(self.sigma):
             raise ValueError("indicator subset must lie inside the alphabet")
 
-    def member(self, counts: Counter) -> bool:
+    def member(self, counts: Mapping) -> bool:
         return any(counts.get(a, 0) > 0 for a in self.subset)
 
 
+class _ClassVerdicts:
+    """A descriptor's memo of verdicts per Parikh class over its ``sigma``,
+    built on first use."""
+
+    @cached_property
+    def _memo(self) -> _ClassMemo:
+        return _ClassMemo(self.sigma)
+
+
 @dataclass(frozen=True)
-class LambdaForm:
+class LambdaForm(_ClassVerdicts):
     """Solution-and-parity intersection over a sub-alphabet X of sigma."""
 
     sigma: tuple
@@ -248,7 +319,7 @@ class LambdaForm:
 
 
 @dataclass(frozen=True)
-class VForm:
+class VForm(_ClassVerdicts):
     """Solution-or-parity-or-indicator union; the indicator catches words with
     letters outside X, so the solution threshold must be finite."""
 
@@ -270,7 +341,7 @@ class VForm:
 
 
 @dataclass(frozen=True)
-class InclusiveForm:
+class InclusiveForm(_ClassVerdicts):
     """Equality-solution-and-parity intersection."""
 
     sigma: tuple
@@ -285,7 +356,7 @@ class InclusiveForm:
 
 
 @dataclass(frozen=True)
-class IndicatorOnly:
+class IndicatorOnly(_ClassVerdicts):
     indicator: IndicatorDescriptor
 
     @property
@@ -308,25 +379,24 @@ def desc_member(d: LanguageDescriptor, word) -> bool:
 
     Only letter counts matter, so membership is invariant under permuting the
     word; a ``Counter`` of letter counts is accepted in place of the word.
-    Letters outside the descriptor's alphabet are an error.
+    Letters outside the descriptor's alphabet are an error.  Each descriptor
+    decides each Parikh class once and reuses the verdict.
     """
-    counts = word if isinstance(word, Counter) else Counter(word)
-    unknown = set(counts) - set(d.sigma)
-    if unknown:
-        raise ValueError(f"letters {sorted(unknown)} outside alphabet {d.sigma}")
-    if isinstance(d, LambdaForm):
-        return d.solution.member(counts) and d.parity.member(counts)
+    if not isinstance(d, (LambdaForm, VForm, InclusiveForm, IndicatorOnly)):
+        raise TypeError(f"not a language descriptor: {type(d).__name__}")
+    return d._memo.member(d, word, _descriptor_verdict)
+
+
+def _descriptor_verdict(d: LanguageDescriptor, counts) -> bool:
     if isinstance(d, VForm):
         return (
             d.indicator.member(counts)
             or d.parity.member(counts)
             or d.solution.member(counts)
         )
-    if isinstance(d, InclusiveForm):
-        return d.solution.member(counts) and d.parity.member(counts)
     if isinstance(d, IndicatorOnly):
         return d.indicator.member(counts)
-    raise TypeError(f"not a language descriptor: {type(d).__name__}")
+    return d.solution.member(counts) and d.parity.member(counts)
 
 
 # named unary regular languages

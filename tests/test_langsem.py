@@ -2,15 +2,17 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from cutpoint import langsem
+from cutpoint import exactmath, langsem
 from cutpoint.constructions import (
     OneStateGfaSpec,
     PythTriple,
     decompose_one_state,
     modn_mcqfa,
+    one_state_accepts,
     rotation_automaton,
     three_state_pfa,
 )
@@ -138,6 +140,150 @@ class TestParikh:
             parikh("abc", "ab")
 
 
+AB_SPEC = OneStateGfaSpec({"a": F(2), "b": F(1, 2)}, F(1), "less")
+#: the three ways a word meets an alphabet, each as a function of the word
+COUNTING = {
+    "desc_member": lambda w: desc_member(decompose_one_state(AB_SPEC), w),
+    "one_state_accepts": lambda w: one_state_accepts(AB_SPEC, w),
+    "parikh": lambda w: parikh(w, "ab"),
+}
+
+
+class TestLettersOutsideAlphabet:
+    @pytest.mark.parametrize("counting", sorted(COUNTING))
+    @pytest.mark.parametrize(
+        "word",
+        [
+            lambda: "abca",
+            lambda: list("abca"),
+            lambda: tuple("abca"),
+            lambda: (a for a in "abca"),
+            lambda: Counter({"a": 2, "c": 0}),
+        ],
+        ids=["str", "list", "tuple", "generator", "counter-zero"],
+    )
+    def test_exact_message(self, counting, word):
+        with pytest.raises(ValueError) as err:
+            COUNTING[counting](word())
+        assert str(err.value) == "letters ['c'] outside alphabet ('a', 'b')"
+
+    def test_multi_character_letters_follow_counter(self):
+        spec = OneStateGfaSpec({"ab": F(2), "c": F(3)}, F(6), mode="inclusive")
+        counting = {
+            "desc_member": lambda w: desc_member(decompose_one_state(spec), w),
+            "one_state_accepts": lambda w: one_state_accepts(spec, w),
+            "parikh": lambda w: parikh(w, ("ab", "c")),
+        }
+        for name, count in counting.items():
+            assert count(["ab", "c"]) == count(Counter(["ab", "c"])), name
+            # a string is a sequence of characters, as Counter("abc") reads it
+            with pytest.raises(ValueError) as err:
+                count("abc")
+            assert str(err.value) == "letters ['a', 'b'] outside alphabet ('ab', 'c')"
+        assert one_state_accepts(spec, ["ab", "c"])
+        assert parikh(["ab", "c", "c"], ("ab", "c")).counts == (1, 2)
+        # a letter that is a substring of another: "ab" is still the letters
+        # a and b, product 2 * 3 = 6, not 2 * 5 * 3
+        nested = OneStateGfaSpec({"a": F(2), "ab": F(5), "b": F(3)}, F(6), mode="inclusive")
+        assert one_state_accepts(nested, "ab")
+        assert desc_member(decompose_one_state(nested), "ab")
+        assert parikh("ab", ("a", "ab", "b")).counts == (1, 0, 1)
+
+
+def _one_of_each_form():
+    x = ("a", "b")
+    sigma = ("a", "b", "c")
+    sol = SolutionDescriptor(x, {"a": F(3, 2), "b": F(2, 5)}, F(7, 3))
+    return [
+        LambdaForm(sigma, sol, ParityDescriptor(x, frozenset({"b"}), 0)),
+        VForm(
+            sol,
+            ParityDescriptor(x, frozenset({"a"}), 1),
+            IndicatorDescriptor(sigma, frozenset({"c"})),
+        ),
+        InclusiveForm(
+            sigma,
+            SolutionDescriptor(x, {"a": F(2), "b": F(1, 2)}, F(1), relation="="),
+            ParityDescriptor(x, frozenset(), 0),
+        ),
+        IndicatorOnly(IndicatorDescriptor(sigma, frozenset({"b", "c"}))),
+    ]
+
+
+def _direct(numbers, cut, direction, mode, word) -> bool:
+    value = F(1)
+    for a in word:
+        value *= numbers[a]
+    if mode == "inclusive":
+        return value == cut
+    return value < cut if direction == "less" else value > cut
+
+
+class TestClassMemo:
+    WORDS = ["".join(w) for n in range(9) for w in product("abc", repeat=n)]
+
+    @pytest.fixture
+    def sign_tests(self, monkeypatch):
+        """The number of PowerSign sign tests run so far."""
+        calls = [0]
+        sign = exactmath.PowerSign.sign
+
+        def counted(self, counts):
+            calls[0] += 1
+            return sign(self, counts)
+
+        monkeypatch.setattr(exactmath.PowerSign, "sign", counted)
+        return calls
+
+    def test_one_sign_test_per_parikh_class(self, sign_tests):
+        assert len(self.WORDS) == 9841
+        classes = {tuple(map(w.count, "abc")) for w in self.WORDS}
+        assert len(classes) == 165
+        for d in _one_of_each_form():
+            start = sign_tests[0]
+            verdicts = [desc_member(d, w) for w in self.WORDS]
+            assert sign_tests[0] - start <= len(classes), type(d).__name__
+            assert verdicts == [desc_member(d, Counter(w)) for w in self.WORDS]
+        spec = OneStateGfaSpec({"a": F(3, 2), "b": F(-2, 5), "c": F(5)}, F(7, 3))
+        start = sign_tests[0]
+        for w in self.WORDS:
+            one_state_accepts(spec, w)
+        assert 0 < sign_tests[0] - start <= len(classes)
+
+    def test_full_memo_still_answers(self, monkeypatch):
+        monkeypatch.setattr(langsem, "_MEMO_CAP", 20)
+        words = [w for w in self.WORDS if len(w) <= 6]
+        spec = OneStateGfaSpec({"a": F(3, 2), "b": F(-2, 5), "c": F(0)}, F(-1, 3), "greater")
+        for d in _one_of_each_form() + [decompose_one_state(spec)]:
+            for _ in range(2):
+                for w in words:
+                    assert desc_member(d, w) == desc_member(d, Counter(w)), (d, w)
+            assert len(d._memo.verdicts) == 20
+        for _ in range(2):
+            for w in words:
+                assert one_state_accepts(spec, w) == _direct(
+                    spec.numbers, spec.cutpoint, spec.direction, spec.mode, w
+                )
+        assert len(spec._memo.verdicts) == 20
+
+    @pytest.mark.parametrize(
+        "numbers, cut, direction, mode",
+        [
+            ({"a": F(3, 2), "b": F(-2, 5), "c": F(5, 4)}, F(7, 5), "less", "strict"),
+            ({"a": F(-3), "b": F(1, 3), "c": F(0)}, F(-1, 2), "greater", "strict"),
+            ({"a": F(2), "b": F(-1, 2), "c": F(4)}, F(-2), "less", "inclusive"),
+        ],
+    )
+    def test_mixed_inputs_match_direct_products(self, numbers, cut, direction, mode):
+        spec = OneStateGfaSpec(numbers, cut, direction, mode)
+        d = decompose_one_state(spec)
+        forms = [str, Counter, list]
+        for i, w in enumerate(w for w in self.WORDS if len(w) <= 6):
+            want = _direct(numbers, cut, direction, mode, w)
+            assert one_state_accepts(spec, forms[i % 3](w)) == want, w
+            assert desc_member(d, forms[(i + 1) % 3](w)) == want, w
+
+
 def more_bs_than_as():
     x = ("a", "b")
     sol = SolutionDescriptor(x, {"a": F(2), "b": F(1, 2)}, F(1))
@@ -203,6 +349,10 @@ class TestDescriptors:
     def test_letters_outside_sigma_rejected(self):
         with pytest.raises(ValueError):
             desc_member(more_bs_than_as(), "abc")
+
+    def test_non_descriptor_rejected(self):
+        with pytest.raises(TypeError, match="not a language descriptor: object"):
+            desc_member(object(), "a")
 
     def test_equality_with_unbounded_threshold_rejected(self):
         with pytest.raises(ValueError):
