@@ -285,13 +285,17 @@ def int_matmul(a: list, b: list) -> list:
 def unlimited_digits(fn):
     """``fn`` with the interpreter's limit on the digits of an int/str conversion
     lifted for the call and restored after it, also after an exception: exact
-    values have no size limit.  Builds before 3.10.7 have no limit to lift."""
+    values have no size limit.  A call made with the limit already lifted,
+    such as one nested in another lifted call, runs as it is.  Builds before
+    3.10.7 have no limit to lift."""
     if not hasattr(sys, "set_int_max_str_digits"):
         return fn
 
     @wraps(fn)
     def call(*args, **kwargs):
         limit = sys.get_int_max_str_digits()
+        if not limit:
+            return fn(*args, **kwargs)
         sys.set_int_max_str_digits(0)
         try:
             return fn(*args, **kwargs)

@@ -119,6 +119,22 @@ def parikh(word, alphabet=None) -> ParikhVector:
 _MEMO_CAP = 4096
 
 
+def _char_counter(letters: tuple):
+    """The counts of ``letters``, each one character, in a ``str`` word: one
+    ``str.count`` per letter, spelled out for two to four letters because a
+    tuple display is faster than ``tuple(map(...))``."""
+    if len(letters) == 2:
+        a, b = letters
+        return lambda w: (w.count(a), w.count(b))
+    if len(letters) == 3:
+        a, b, c = letters
+        return lambda w: (w.count(a), w.count(b), w.count(c))
+    if len(letters) == 4:
+        a, b, c, d = letters
+        return lambda w: (w.count(a), w.count(b), w.count(c), w.count(d))
+    return lambda w: tuple(map(w.count, letters))
+
+
 class _ClassMemo:
     """Membership decided once per Parikh class.
 
@@ -130,7 +146,7 @@ class _ClassMemo:
     at worst decide one class twice or store a few verdicts past the cap.
     """
 
-    __slots__ = ("alphabet", "letters", "known", "by_char", "verdicts")
+    __slots__ = ("alphabet", "letters", "known", "count_chars", "verdicts")
 
     def __init__(self, alphabet: tuple):
         self.alphabet = alphabet
@@ -138,23 +154,32 @@ class _ClassMemo:
         self.known = frozenset(self.letters)
         # a string word is a sequence of characters, so str.count counts the
         # letters exactly when each is one character
-        self.by_char = all(isinstance(a, str) and len(a) == 1 for a in self.letters)
+        by_char = all(isinstance(a, str) and len(a) == 1 for a in self.letters)
+        self.count_chars = _char_counter(self.letters) if by_char else None
         self.verdicts = {}
 
     def counts(self, word) -> tuple:
         """Occurrences of each letter in ``word``, a word or a mapping of
         letter counts read as ``Counter(word)`` reads it; letters outside the
-        alphabet are an error, even with count 0 in a mapping."""
+        alphabet are an error, even with count 0 in a mapping, and so is a
+        count that is not a nonnegative ``int``."""
         if isinstance(word, Counter):
-            if not self.known.issuperset(word):
-                self._outside(word)
+            self._check_counts(word)
             return tuple(word[a] for a in self.letters)
-        if not (self.by_char and isinstance(word, str) or isinstance(word, (list, tuple))):
+        by_char = self.count_chars is not None and isinstance(word, str)
+        if not (by_char or isinstance(word, (list, tuple))):
             return self.counts(Counter(word) if isinstance(word, Mapping) else tuple(word))
         counts = tuple(map(word.count, self.letters))
         if sum(counts) != len(word):
             self._outside(word)
         return counts
+
+    def _check_counts(self, counter: Counter) -> None:
+        if not self.known.issuperset(counter):
+            self._outside(counter)
+        for a, n in counter.items():
+            if not isinstance(n, int) or n < 0:
+                raise ValueError(f"count {n!r} of letter {a!r} is not a nonnegative integer")
 
     def _outside(self, letters):
         unknown = set(letters) - self.known
@@ -162,13 +187,18 @@ class _ClassMemo:
 
     def member(self, owner, word, decide) -> bool:
         """``decide(owner, counts)`` on the class of ``word``, looked up
-        first among the stored verdicts.  A ``Counter`` is already a class
-        and is decided directly."""
-        if isinstance(word, Counter):
-            if not self.known.issuperset(word):
+        first among the stored verdicts.  A ``str`` word over one-character
+        letters is counted directly, one ``str.count`` per letter; a
+        ``Counter`` is already a class and is decided directly."""
+        if type(word) is str and self.count_chars is not None:
+            key = self.count_chars(word)
+            if sum(key) != len(word):
                 self._outside(word)
+        elif isinstance(word, Counter):
+            self._check_counts(word)
             return decide(owner, word)
-        key = self.counts(word)
+        else:
+            key = self.counts(word)
         verdicts = self.verdicts
         verdict = verdicts.get(key)
         if verdict is None:
@@ -382,7 +412,7 @@ def desc_member(d: LanguageDescriptor, word) -> bool:
     Letters outside the descriptor's alphabet are an error.  Each descriptor
     decides each Parikh class once and reuses the verdict.
     """
-    if not isinstance(d, (LambdaForm, VForm, InclusiveForm, IndicatorOnly)):
+    if not isinstance(d, _ClassVerdicts):
         raise TypeError(f"not a language descriptor: {type(d).__name__}")
     return d._memo.member(d, word, _descriptor_verdict)
 

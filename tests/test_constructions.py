@@ -417,6 +417,35 @@ class TestTwoStateClassifier:
         for m, v in enumerate(unary_values(p, 300)):
             assert named_member(name, m) == (v > lam)
 
+    @staticmethod
+    def _right_marked():
+        return Pfa(
+            2,
+            ("a",),
+            {"a": Matrix([[F(2, 3), F(1, 5)], [F(1, 3), F(4, 5)]])},
+            Matrix.column([F(1, 3), F(2, 3)]),
+            Matrix.row([F(1, 11), F(9, 13)]),
+            right_marker=Matrix([[F(3, 7), F(1, 2)], [F(4, 7), F(1, 2)]]),
+        )
+
+    def test_cutpoint_exactly_on_a_marked_limit(self):
+        # the exact tie must be seen as one: on a zero gap the search for the
+        # last flip would never end
+        p = self._right_marked()
+        lam = analyze_two_state_pfa(p, 0).limit
+        assert lam == F(3265, 8008)
+        got = analyze_two_state_pfa(p, lam)
+        assert (got.case, got.language) == ("on-limit", langsem.EMPTY)
+        assert not any(v > lam for v in unary_values(p, 60))
+
+    def test_state_with_a_foreign_denominator_reads_out_in_lowest_terms(self):
+        # 17 divides no scale of the machine, so a readout that trusts the
+        # machine's own denominators would leave this value unreduced
+        v = self._right_marked().accepting_value(Matrix.column([F(5, 17), F(12, 17)]))
+        want = F(6879, 17017)
+        assert type(v) is Fraction
+        assert (v.numerator, v.denominator) == (want.numerator, want.denominator)
+
     def test_wrong_state_count_rejected(self):
         with pytest.raises(ValueError):
             classify_two_state_pfa(three_state_pfa(F(1, 2)), F(1, 2))

@@ -348,6 +348,14 @@ class TestUnlimitedDigits:
             unlimited_digits(fail)()
         assert sys.get_int_max_str_digits() == 4300
 
+    def test_a_nested_call_sets_no_limit(self, digit_limit, monkeypatch):
+        set_limit, sets = sys.set_int_max_str_digits, []
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: sets.append(n) or set_limit(n))
+        inner = unlimited_digits(sys.get_int_max_str_digits)
+        assert unlimited_digits(lambda: (inner(), sys.get_int_max_str_digits()))() == (0, 0)
+        assert sys.get_int_max_str_digits() == 4300
+        assert sets == [0, 4300]
+
 
 def _from_exponents(vector: dict) -> Fraction:
     r = F(1)

@@ -190,24 +190,50 @@ class TestLettersOutsideAlphabet:
         assert parikh("ab", ("a", "ab", "b")).counts == (1, 0, 1)
 
 
-def _one_of_each_form():
-    x = ("a", "b")
-    sigma = ("a", "b", "c")
-    sol = SolutionDescriptor(x, {"a": F(3, 2), "b": F(2, 5)}, F(7, 3))
+class TestImpossibleCounts:
+    @pytest.mark.parametrize("counting", sorted(COUNTING))
+    @pytest.mark.parametrize(
+        "counts",
+        [Counter(a=-1), {"a": -2}, {"a": 1.5, "b": 0}, Counter(a=F(1))],
+        ids=["counter-negative", "dict-negative", "dict-float", "counter-fraction"],
+    )
+    def test_impossible_counts_rejected(self, counting, counts):
+        with pytest.raises(ValueError, match="is not a nonnegative integer"):
+            COUNTING[counting](counts)
+
+
+def _one_of_each_form(sigma="abc"):
+    """One descriptor of each form over the letters of ``sigma``, with X its
+    first two letters."""
+    sigma = tuple(sigma)
+    x = sigma[:2]
+    sol = SolutionDescriptor(x, dict(zip(x, (F(3, 2), F(2, 5)))), F(7, 3))
     return [
-        LambdaForm(sigma, sol, ParityDescriptor(x, frozenset({"b"}), 0)),
+        LambdaForm(sigma, sol, ParityDescriptor(x, frozenset(x[1:]), 0)),
         VForm(
             sol,
-            ParityDescriptor(x, frozenset({"a"}), 1),
-            IndicatorDescriptor(sigma, frozenset({"c"})),
+            ParityDescriptor(x, frozenset(x[:1]), 1),
+            IndicatorDescriptor(sigma, frozenset(sigma[2:])),
         ),
         InclusiveForm(
             sigma,
-            SolutionDescriptor(x, {"a": F(2), "b": F(1, 2)}, F(1), relation="="),
+            SolutionDescriptor(x, dict(zip(x, (F(2), F(1, 2)))), F(1), relation="="),
             ParityDescriptor(x, frozenset(), 0),
         ),
-        IndicatorOnly(IndicatorDescriptor(sigma, frozenset({"b", "c"}))),
+        IndicatorOnly(IndicatorDescriptor(sigma, frozenset(sigma[1:]))),
     ]
+
+
+def _machines(sigma: str) -> list:
+    """A one-state machine and one descriptor of each form over ``sigma``,
+    each with its membership function; fresh objects, so fresh memos."""
+    numbers = {a: F(k + 2, 3) * (-1) ** k for k, a in enumerate(sigma)}
+    spec = OneStateGfaSpec(numbers, F(5, 4), "greater")
+    return [(one_state_accepts, spec)] + [(desc_member, d) for d in _one_of_each_form(sigma)]
+
+
+class _Word(str):
+    pass
 
 
 def _direct(numbers, cut, direction, mode, word) -> bool:
@@ -282,6 +308,36 @@ class TestClassMemo:
             want = _direct(numbers, cut, direction, mode, w)
             assert one_state_accepts(spec, forms[i % 3](w)) == want, w
             assert desc_member(d, forms[(i + 1) % 3](w)) == want, w
+
+    @pytest.mark.parametrize("sigma", ["a", "ab", "abc", "abcd", "abcde"])
+    def test_str_words_agree_with_counter_and_list(self, sigma):
+        # two to four letters take a spelled-out count, one and five the
+        # generic one; each input form runs on its own objects' memos
+        words = ["".join(w) for n in range(6) for w in product(sigma, repeat=n)]
+        by_form = {
+            form: [[member(m, form(w)) for w in words] for member, m in _machines(sigma)]
+            for form in (str, Counter, list, _Word)
+        }
+        assert by_form[str] == by_form[Counter] == by_form[list] == by_form[_Word]
+
+    @pytest.mark.parametrize("sigma", ["a", "ab", "abc", "abcd", "abcde"])
+    def test_str_words_with_outside_letters(self, sigma):
+        for member, m in _machines(sigma):
+            with pytest.raises(ValueError) as err:
+                member(m, sigma[:2] + "x")
+            assert str(err.value) == f"letters ['x'] outside alphabet {tuple(sigma)}"
+
+    def test_str_words_bypass_the_general_count(self, monkeypatch):
+        def general(self, word):
+            raise AssertionError("str word over one-character letters was not counted directly")
+
+        monkeypatch.setattr(langsem._ClassMemo, "counts", general)
+        for sigma in ("a", "ab", "abcde"):
+            words = ("", sigma, sigma[::-1] * 2)
+            for member, m in _machines(sigma):
+                assert [member(m, w) for w in words] == [member(m, Counter(w)) for w in words]
+        with pytest.raises(AssertionError):
+            one_state_accepts(AB_SPEC, _Word("ab"))
 
 
 def more_bs_than_as():
