@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +25,7 @@ from .constructions import (
     three_state_params,
     three_state_pfa,
 )
-from .exactmath import logs_rationally_equivalent, logs_same_sign
+from .exactmath import logs_rationally_equivalent, logs_same_sign, record
 from .langsem import (
     STRICT,
     CutpointSpec,
@@ -93,7 +92,7 @@ def chomsky_classify_gfa(spec: OneStateGfaSpec) -> ChomskyVerdict:
     return chomsky_classify(d.solution)
 
 
-@dataclass(frozen=True)
+@record
 class SeparationWitness:
     """A word length on which two cutpoint languages disagree, with both
     accepting values and memberships."""
@@ -135,7 +134,7 @@ class SeparationAnomaly(RuntimeError):
     """The guaranteed witness at m or m+1 failed exact verification."""
 
 
-@dataclass(frozen=True)
+@record
 class ThreeStateSeparation:
     """Outcome of the three-state separation procedure: the candidate length
     from the angle inequality plus the exactly verified witness."""
@@ -199,7 +198,7 @@ def aperiodicity_check(aut: Automaton, limit: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class DensityReport:
     """First-hit indices for the rotation value sequence over equal bins
     tiling [-1, 1]; None marks a bin never hit within the horizon."""

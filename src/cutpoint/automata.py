@@ -32,7 +32,6 @@ machine can be evaluated concurrently over many words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -49,6 +48,7 @@ from .exactmath import (
     join_kinds,
     one_zero,
     quotient,
+    record,
     scaled,
     unscaled,
     validate_matrix,
@@ -62,7 +62,7 @@ class UnknownSymbolError(ValueError):
 class Automaton:
     """The linear-representation core shared by every model.
 
-    A model is a frozen dataclass with the fields ``state_count``,
+    A model is a frozen record with the fields ``state_count``,
     ``alphabet``, ``transitions``, ``initial``, its final part,
     ``left_marker`` and ``right_marker``.  ``initial`` may be given as a
     1-based basis index; the basis object is built in the kind of the steps,
@@ -254,7 +254,7 @@ def _check_accept_states(aut) -> None:
         raise ValueError("accept states must be 1-based state indices")
 
 
-@dataclass(frozen=True)
+@record
 class Gfa(Automaton):
     """Generalized finite automaton: arbitrary real transition matrices."""
 
@@ -309,7 +309,7 @@ class Pfa(Gfa):
         return []
 
 
-@dataclass(frozen=True)
+@record
 class Mcqfa(Automaton):
     """Measure-once quantum automaton: one unitary per symbol, a single
     projective measurement on the accept states at the end of the input.
@@ -323,7 +323,7 @@ class Mcqfa(Automaton):
     alphabet: tuple
     transitions: dict
     initial: Matrix
-    accept_states: frozenset = field(default_factory=frozenset)
+    accept_states: frozenset = frozenset()
     left_marker: Optional[Matrix] = None
     right_marker: Optional[Matrix] = None
 
@@ -345,7 +345,7 @@ class Mcqfa(Automaton):
         return read
 
 
-@dataclass(frozen=True)
+@record
 class Qfa(Automaton):
     """General quantum automaton: one superoperator (list of operation
     elements) per symbol acting on a density matrix; the accepting value is
@@ -356,7 +356,7 @@ class Qfa(Automaton):
     alphabet: tuple
     transitions: dict
     initial: Matrix
-    accept_states: frozenset = field(default_factory=frozenset)
+    accept_states: frozenset = frozenset()
     left_marker: Optional[tuple] = None
     right_marker: Optional[tuple] = None
 

@@ -12,18 +12,17 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import analysis, constructions, documents, langsem, verify
 from .automata import Mcqfa, Pfa, is_unary, unary_values, value
 from .constructions import OneStateGfaSpec, PythTriple
-from .exactmath import unlimited_digits
+from .exactmath import record, unlimited_digits
 from .langsem import CutpointSpec
 
 
-@dataclass
+@record
 class CommandOutcome:
     exit_code: int
     report: str

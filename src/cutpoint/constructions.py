@@ -11,7 +11,6 @@ into named languages and descriptors, both decided exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import cached_property
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Iterator, Optional, Union
 
 from . import langsem
 from .automata import Gfa, Mcqfa, Pfa, basis_state
-from .exactmath import Matrix, PowerSign, scalar_to_float
+from .exactmath import Matrix, PowerSign, record, scalar_to_float
 from .langsem import (
     EQUALS,
     IndicatorDescriptor,
@@ -34,7 +33,7 @@ from .langsem import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class PythTriple:
     """Generator pair (m, n) of a primitive Pythagorean triple.
 
@@ -152,7 +151,7 @@ def three_state_pfa(x) -> Pfa:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ThreeStateParams:
     """Closed-form quantities of the three-state family.
 
@@ -196,7 +195,7 @@ def three_state_closed_form(x, m: int) -> float:
 
 # two-state unary PFA classification
 
-@dataclass(frozen=True)
+@record
 class TwoStatePfaAnalysis:
     """Exact decomposition of a two-state unary PFA's value sequence.
 
@@ -370,7 +369,7 @@ DIRECTION_LESS = "less"
 DIRECTION_GREATER = "greater"
 
 
-@dataclass(frozen=True)
+@record
 class OneStateGfaSpec:
     """A one-state machine: one transition number per letter, a cutpoint, and
     the acceptance condition (strict directional comparison, or equality for

@@ -10,6 +10,10 @@ approximate kinds never mix silently, and exact to binary64 means building a
 ``Matrix`` from ``float(x)`` or ``complex(x)``.  Exact arithmetic happens in
 one place, on integer rows over one common denominator (:func:`scaled`,
 :func:`int_matmul`).
+
+The module also holds two decorators the whole package uses:
+:func:`record`, which makes a class a frozen value record, and
+:func:`unlimited_digits`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import reduce, wraps
@@ -39,7 +42,103 @@ class ScalarMixError(TypeError):
     """Raised when exact and approximate scalars meet without an explicit coercion."""
 
 
-@dataclass(frozen=True)
+_REQUIRED = object()
+
+
+def record(cls):
+    """``cls`` as a frozen value record.  The fields are the annotated class
+    attributes in definition order, after those of record bases; a class
+    attribute is the field's default.  Instances take the fields positionally
+    or by keyword, then run ``__post_init__``; they are equal when their
+    classes are the same and their field values equal, hash their field
+    values, and refuse every assignment and deletion.  An ``__eq__``,
+    ``__hash__`` or ``__repr__`` of ``cls`` itself is kept.  Every record
+    shares the functions below, so defining one compiles no code."""
+    fields = dict(zip(getattr(cls, "_record_names", ()), getattr(cls, "_record_defaults", ())))
+    own = vars(cls)
+    for name in own.get("__annotations__", {}):
+        fields[name] = own.get(name, _REQUIRED)
+    cls._record_names, cls._record_defaults = tuple(fields), tuple(fields.values())
+    cls.__init__ = _record_init
+    cls.__setattr__ = cls.__delattr__ = _record_frozen
+    for name, method in (("__eq__", _record_eq), ("__hash__", _record_hash),
+                         ("__repr__", _record_repr)):
+        if own.get(name) is None:
+            setattr(cls, name, method)
+    if not hasattr(cls, "__post_init__"):
+        cls.__post_init__ = _record_no_checks
+    return cls
+
+
+def _record_init(self, *args, **kwargs):
+    cls = type(self)
+    names, n = cls._record_names, len(args)
+    # one attribute at a time in field order, as a dataclass sets them, keeps
+    # the instance's values inline and its attribute reads fast
+    for name, value in zip(names, args):
+        object.__setattr__(self, name, value)
+    for name, default in zip(names[n:], cls._record_defaults[n:]):
+        value = kwargs.pop(name, default)
+        if value is _REQUIRED:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        object.__setattr__(self, name, value)
+    if kwargs or n > len(names):
+        raise TypeError(f"{cls.__name__}() takes the arguments {names}, got {n} positional "
+                        f"and the keywords {sorted(kwargs)} left over")
+    self.__post_init__()
+
+
+def _record_no_checks(self):
+    pass
+
+
+def _record_values(r) -> tuple:
+    return tuple([getattr(r, name) for name in r._record_names])
+
+
+def _record_eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self):
+    return hash(_record_values(self))
+
+
+def _record_repr(self):
+    inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_names)
+    return f"{type(self).__qualname__}({inner})"
+
+
+def _record_frozen(self, name, *value):
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
+
+
+def unlimited_digits(fn):
+    """``fn`` with the interpreter's limit on the digits of an int/str conversion
+    lifted for the call and restored after it, also after an exception: exact
+    values have no size limit.  A call made with the limit already lifted,
+    such as one nested in another lifted call, runs as it is.  Builds before
+    3.10.7 have no limit to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            return fn(*args, **kwargs)
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return call
+
+
+@record
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
 
@@ -280,29 +379,6 @@ def int_matmul(a: list, b: list) -> list:
     binary64 floats), with no normalisation."""
     cols = list(zip(*b))
     return [[sum(map(mul, r, c)) for c in cols] for r in a]
-
-
-def unlimited_digits(fn):
-    """``fn`` with the interpreter's limit on the digits of an int/str conversion
-    lifted for the call and restored after it, also after an exception: exact
-    values have no size limit.  A call made with the limit already lifted,
-    such as one nested in another lifted call, runs as it is.  Builds before
-    3.10.7 have no limit to lift."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return fn
-
-    @wraps(fn)
-    def call(*args, **kwargs):
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            return fn(*args, **kwargs)
-        sys.set_int_max_str_digits(0)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    return call
 
 
 # matrix validation

@@ -20,13 +20,19 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
 from .automata import Automaton, Gfa, Pfa, unary_values
-from .exactmath import GaussianRational, PowerSign, _exponent_ratio, exponent_vectors, scalar_kind
+from .exactmath import (
+    GaussianRational,
+    PowerSign,
+    _exponent_ratio,
+    exponent_vectors,
+    record,
+    scalar_kind,
+)
 
 #: default tolerance for inclusive/exclusive comparison of binary64 values
 VALUE_TOL = 1e-9
@@ -36,9 +42,10 @@ INCLUSIVE = "inclusive"
 EXCLUSIVE = "exclusive"
 
 
-@dataclass(frozen=True)
+@record
 class CutpointSpec:
-    """A cutpoint value together with the comparison mode."""
+    """A cutpoint value together with the comparison mode.  The value is an
+    ``int`` (kept as a ``Fraction``), a ``Fraction`` or a finite ``float``."""
 
     value: Union[Fraction, float]
     mode: str = STRICT
@@ -46,8 +53,14 @@ class CutpointSpec:
     def __post_init__(self):
         if self.mode not in (STRICT, INCLUSIVE, EXCLUSIVE):
             raise ValueError(f"unknown cutpoint mode {self.mode!r}")
-        if isinstance(self.value, int):
-            object.__setattr__(self, "value", Fraction(self.value))
+        value = self.value
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction, float)):
+            kind = type(value).__name__
+            raise TypeError(f"cutpoint must be an int, Fraction or float, not {kind}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"cutpoint must be finite, got {value}")
+        if isinstance(value, int):
+            object.__setattr__(self, "value", Fraction(value))
 
 
 def cut_member(v, cp: CutpointSpec, eps: float = VALUE_TOL) -> bool:
@@ -88,7 +101,12 @@ def enum_unary(aut: Automaton, cp: CutpointSpec, limit: int, eps: float = VALUE_
 
 # Parikh vectors
 
-@dataclass(frozen=True)
+def _check_count(letter, n) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"count {n!r} of letter {letter!r} is not a nonnegative integer")
+
+
+@record
 class ParikhVector:
     alphabet: tuple
     counts: tuple
@@ -96,8 +114,8 @@ class ParikhVector:
     def __post_init__(self):
         if len(self.alphabet) != len(self.counts):
             raise ValueError("alphabet and counts length mismatch")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative letter count")
+        for a, n in zip(self.alphabet, self.counts):
+            _check_count(a, n)
 
     def count(self, letter) -> int:
         return self.counts[self.alphabet.index(letter)]
@@ -178,8 +196,7 @@ class _ClassMemo:
         if not self.known.issuperset(counter):
             self._outside(counter)
         for a, n in counter.items():
-            if not isinstance(n, int) or n < 0:
-                raise ValueError(f"count {n!r} of letter {a!r} is not a nonnegative integer")
+            _check_count(a, n)
 
     def _outside(self, letters):
         unknown = set(letters) - self.known
@@ -214,7 +231,7 @@ LESS = "<"
 EQUALS = "="
 
 
-@dataclass(frozen=True)
+@record
 class SolutionDescriptor:
     """A linear condition on letter counts.
 
@@ -286,7 +303,7 @@ class SolutionDescriptor:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class ParityDescriptor:
     """Words over ``alphabet`` whose number of letters from ``subset`` has the
     given parity bit."""
@@ -309,7 +326,7 @@ class ParityDescriptor:
         return sum(counts.get(a, 0) for a in self.subset) % 2 == self.bit
 
 
-@dataclass(frozen=True)
+@record
 class IndicatorDescriptor:
     """Words over ``sigma`` containing at least one letter from ``subset``."""
 
@@ -335,7 +352,7 @@ class _ClassVerdicts:
         return _ClassMemo(self.sigma)
 
 
-@dataclass(frozen=True)
+@record
 class LambdaForm(_ClassVerdicts):
     """Solution-and-parity intersection over a sub-alphabet X of sigma."""
 
@@ -348,7 +365,7 @@ class LambdaForm(_ClassVerdicts):
         _check_shared_x(self.solution, self.parity, self.sigma)
 
 
-@dataclass(frozen=True)
+@record
 class VForm(_ClassVerdicts):
     """Solution-or-parity-or-indicator union; the indicator catches words with
     letters outside X, so the solution threshold must be finite."""
@@ -370,7 +387,7 @@ class VForm(_ClassVerdicts):
         return self.indicator.sigma
 
 
-@dataclass(frozen=True)
+@record
 class InclusiveForm(_ClassVerdicts):
     """Equality-solution-and-parity intersection."""
 
@@ -385,7 +402,7 @@ class InclusiveForm(_ClassVerdicts):
         _check_shared_x(self.solution, self.parity, self.sigma)
 
 
-@dataclass(frozen=True)
+@record
 class IndicatorOnly(_ClassVerdicts):
     indicator: IndicatorDescriptor
 
@@ -431,7 +448,7 @@ def _descriptor_verdict(d: LanguageDescriptor, counts) -> bool:
 
 # named unary regular languages
 
-@dataclass(frozen=True)
+@record
 class UnaryName:
     """A named regular language over a one-letter alphabet.
 

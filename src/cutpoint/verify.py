@@ -15,7 +15,6 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import langsem
@@ -46,7 +45,7 @@ from .constructions import (
     three_state_params,
     three_state_pfa,
 )
-from .exactmath import Matrix, int_matmul, scaled
+from .exactmath import Matrix, int_matmul, record, scaled
 from .langsem import (
     INCLUSIVE,
     CutpointSpec,
@@ -57,7 +56,7 @@ from .langsem import (
 )
 
 
-@dataclass
+@record
 class CheckResult:
     criterion: str
     suite: str

@@ -22,6 +22,7 @@ from cutpoint.langsem import (
     IndicatorOnly,
     InclusiveForm,
     LambdaForm,
+    ParikhVector,
     ParityDescriptor,
     SolutionDescriptor,
     VForm,
@@ -70,6 +71,27 @@ class TestCutMember:
     def test_complex_value_rejected(self):
         with pytest.raises(ValueError):
             cut_member(1 + 0j, CutpointSpec(F(0)))
+
+
+class TestCutpointSpecValue:
+    @pytest.mark.parametrize(
+        "value", ["1/2", True, None, 1 + 0j, exactmath.GaussianRational(1, 0)],
+        ids=["str", "bool", "none", "complex", "gaussian"],
+    )
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError, match="cutpoint must be an int, Fraction or float"):
+            CutpointSpec(value)
+
+    @pytest.mark.parametrize("mode", ["strict", "inclusive", "exclusive"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, value, mode):
+        with pytest.raises(ValueError, match="cutpoint must be finite"):
+            CutpointSpec(value, mode)
+
+    def test_accepted_values(self):
+        assert type(CutpointSpec(2).value) is F and CutpointSpec(2).value == 2
+        assert CutpointSpec(F(1, 3)).value == F(1, 3)
+        assert CutpointSpec(-0.25).value == -0.25
 
 
 class TestEnumUnary:
@@ -138,6 +160,11 @@ class TestParikh:
     def test_unknown_letter(self):
         with pytest.raises(ValueError):
             parikh("abc", "ab")
+
+    @pytest.mark.parametrize("counts", [(True, 2.5), (-1, 0), (F(1), 0), (0, None)])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(ValueError, match="is not a nonnegative integer"):
+            ParikhVector(("a", "b"), counts)
 
 
 AB_SPEC = OneStateGfaSpec({"a": F(2), "b": F(1, 2)}, F(1), "less")
